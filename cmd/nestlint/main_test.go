@@ -42,6 +42,26 @@ func build(t *testing.T) string {
 	return bin
 }
 
+// seedModule writes src as internal/cfs/<file> of a fresh one-package
+// module named like this one, so the package sits inside the
+// deterministic scope and a seeded finding never touches the real tree
+// that other tests load in parallel. It returns the module root.
+func seedModule(t *testing.T, file, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	pkg := filepath.Join(dir, "internal", "cfs")
+	if err := os.MkdirAll(pkg, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module repro\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(pkg, file), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 func TestCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the nestlint binary")
@@ -130,16 +150,12 @@ func TestCLI(t *testing.T) {
 	t.Run("UnusedDirectiveExitsOne", func(t *testing.T) {
 		// A reasoned //lint: comment that suppresses nothing must fail
 		// the run under -unused-directives and pass without it.
-		seed := filepath.Join(root, "internal", "cfs", "lintseed_stale_directive.go")
 		src := "package cfs\n\n//lint:simtime justified once, code since rewritten\nvar lintSeedStale int\n"
-		if err := os.WriteFile(seed, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		defer os.Remove(seed)
-		if out, err := exec.Command(bin, "-C", root, "./internal/cfs").CombinedOutput(); err != nil {
+		mod := seedModule(t, "lintseed_stale_directive.go", src)
+		if out, err := exec.Command(bin, "-C", mod, "./internal/cfs").CombinedOutput(); err != nil {
 			t.Fatalf("stale directive failed the run without -unused-directives: %v\n%s", err, out)
 		}
-		cmd := exec.Command(bin, "-C", root, "-unused-directives", "./internal/cfs")
+		cmd := exec.Command(bin, "-C", mod, "-unused-directives", "./internal/cfs")
 		out, err := cmd.CombinedOutput()
 		ee, ok := err.(*exec.ExitError)
 		if !ok || ee.ExitCode() != 1 {
@@ -151,15 +167,11 @@ func TestCLI(t *testing.T) {
 	})
 
 	t.Run("SeededViolationExitsOne", func(t *testing.T) {
-		// A wall-clock call seeded into internal/cfs must fail the run —
+		// A wall-clock call seeded into a cfs package must fail the run —
 		// the same behavior the CI lint job relies on.
-		seed := filepath.Join(root, "internal", "cfs", "lintseed_test_violation.go")
 		src := "package cfs\n\nimport \"time\"\n\nfunc lintSeedViolation() time.Time { return time.Now() }\n"
-		if err := os.WriteFile(seed, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		defer os.Remove(seed)
-		cmd := exec.Command(bin, "-C", root, "./internal/cfs")
+		mod := seedModule(t, "lintseed_test_violation.go", src)
+		cmd := exec.Command(bin, "-C", mod, "./internal/cfs")
 		out, err := cmd.CombinedOutput()
 		ee, ok := err.(*exec.ExitError)
 		if !ok || ee.ExitCode() != 1 {

@@ -299,7 +299,7 @@ func (mc *mapRangeChecker) checkFuncCall(call *ast.CallExpr, fn *types.Func) {
 }
 
 func isEnginePostFamily(fn *types.Func) bool {
-	for _, m := range []string{"Post", "PostAfter", "At", "After", "Reschedule", "PostRun", "PostRunAfter", "Arm", "ArmAfter"} {
+	for _, m := range []string{"PostRun", "PostRunAfter", "Arm", "ArmAfter"} {
 		if isMethodOn(fn, "repro/internal/sim", "Engine", m) {
 			return true
 		}

@@ -8,23 +8,21 @@ import (
 
 // Postdiscipline enforces the engine's callback contract: all
 // simulation state is driven from a single goroutine, and event
-// callbacks fire later — so a callback must not be scheduled from a
-// map iteration (its firing order would inherit the random map order),
-// must not block (channels, sync primitives), and sim packages must
-// not start goroutines at all.
+// callbacks (sim.Runner values) fire later — so a Runner must not be
+// built from a map iteration (its payload would inherit the random map
+// order), a RunAt body must not block (channels, sync primitives), and
+// sim packages must not start goroutines at all.
 var Postdiscipline = &Analyzer{
 	Name:     "postdiscipline",
-	Contract: "no goroutines in sim packages; Post/At callbacks never capture map-range variables or block",
+	Contract: "no goroutines in sim packages; scheduled Runners never come from map-range variables, and RunAt never blocks",
 	Doc: `postdiscipline reports, inside the deterministic simulation packages:
 (1) go statements — the engine is single-goroutine by design; RequestStop is
-the one sanctioned cross-goroutine entry point; (2) callbacks passed to
-sim.Engine.Post/PostAfter/At/After/Reschedule that capture the key or value
-variable of an enclosing range over a map — the callback's payload (and with
+the one sanctioned cross-goroutine entry point; (2) Runner values passed to
+sim.Engine.PostRun/PostRunAfter/Arm/ArmAfter that are built from the key or
+value variable of an enclosing range over a map — the scheduled work (and with
 equal deadlines, its relative order) would depend on randomized map order;
-(3) Runner values passed to PostRun/PostRunAfter/Arm/ArmAfter that are built
-from a map-range key or value — the pooled-closure spelling of the same bug;
-(4) callbacks that perform channel operations or take sync locks — an event
-callback that blocks deadlocks the whole virtual clock. Suppress with
+(3) RunAt method bodies that perform channel operations or take sync locks — an
+event callback that blocks deadlocks the whole virtual clock. Suppress with
 //lint:postdiscipline <reason> (alias //lint:goroutine for go statements).`,
 	Run: runPostdiscipline,
 }
@@ -39,37 +37,20 @@ func runPostdiscipline(pass *Pass) {
 		case *ast.GoStmt:
 			pass.Reportf(n.Pos(),
 				"goroutine started in a deterministic sim package: all simulation state is single-goroutine; move concurrency to the experiment pool or document with //lint:goroutine <reason>")
+		case *ast.FuncDecl:
+			if n.Name.Name == "RunAt" && n.Recv != nil && n.Body != nil {
+				checkNonBlocking(pass, n.Body)
+			}
 		case *ast.CallExpr:
 			fn := methodCallee(info, n)
 			if fn == nil || !isEnginePostFamily(fn) {
 				return true
 			}
-			for i, arg := range n.Args {
-				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-					checkCallback(pass, fn.Name(), lit, stack)
-					continue
-				}
-				if isRunnerParam(fn, i) {
-					checkRunnerArg(pass, fn.Name(), arg, stack)
-				}
-			}
+			// Every family member takes its Runner as the last argument.
+			checkRunnerArg(pass, fn.Name(), n.Args[len(n.Args)-1], stack)
 		}
 		return true
 	})
-}
-
-// isRunnerParam reports whether the i-th parameter of fn is the
-// sim.Runner payload (PostRun/PostRunAfter/Arm/ArmAfter take one).
-func isRunnerParam(fn *types.Func, i int) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || i >= sig.Params().Len() {
-		return false
-	}
-	named, ok := sig.Params().At(i).Type().(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "repro/internal/sim" && named.Obj().Name() == "Runner"
 }
 
 // mapRangeVars collects the key/value objects of enclosing ranges over
@@ -101,8 +82,7 @@ func mapRangeVars(info *types.Info, stack []ast.Node) map[types.Object]*ast.Rang
 
 // checkRunnerArg inspects the Runner payload of a PostRun/Arm-family
 // call: a Runner built from a map-range key or value schedules work
-// whose content depends on randomized iteration order, exactly like a
-// closure capturing the loop variable.
+// whose content depends on randomized iteration order.
 func checkRunnerArg(pass *Pass, method string, arg ast.Expr, stack []ast.Node) {
 	info := pass.TypesInfo()
 	loopVars := mapRangeVars(info, stack)
@@ -127,21 +107,12 @@ func checkRunnerArg(pass *Pass, method string, arg ast.Expr, stack []ast.Node) {
 	})
 }
 
-// checkCallback inspects one closure scheduled on the engine.
-func checkCallback(pass *Pass, method string, lit *ast.FuncLit, stack []ast.Node) {
+// checkNonBlocking reports channel operations and sync locking in the
+// body of a RunAt method, which the engine calls on the sim goroutine.
+func checkNonBlocking(pass *Pass, body *ast.BlockStmt) {
 	info := pass.TypesInfo()
-	mapLoopVars := mapRangeVars(info, stack)
-
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.Ident:
-			if obj := info.Uses[n]; obj != nil {
-				if _, fromMapRange := mapLoopVars[obj]; fromMapRange {
-					pass.Reportf(n.Pos(),
-						"callback passed to Engine.%s captures %q from an enclosing range over a map: the scheduled work depends on randomized iteration order", method, n.Name)
-					delete(mapLoopVars, obj) // one report per variable
-				}
-			}
 		case *ast.SendStmt:
 			pass.Reportf(n.Pos(), "event callback sends on a channel: callbacks run on the sim goroutine and must never block")
 		case *ast.UnaryExpr:

@@ -5,9 +5,9 @@ import (
 	"repro/internal/sim"
 )
 
-func badPost(eng *sim.Engine, wakes map[int]sim.Time) {
-	for _, t := range wakes { // want `posts simulator events \(sim\.Engine\.Post\)`
-		eng.Post(t, func() {})
+func badPost(eng *sim.Engine, r sim.Runner, wakes map[int]sim.Time) {
+	for _, t := range wakes { // want `posts simulator events \(sim\.Engine\.PostRun\)`
+		eng.PostRun(t, r)
 	}
 }
 

@@ -10,24 +10,6 @@ import (
 
 func use(int) {}
 
-func badMapCapture(eng *sim.Engine, wakes map[int]sim.Time) {
-	for id, t := range wakes {
-		eng.Post(t, func() { use(id) }) // want `captures "id" from an enclosing range over a map`
-	}
-}
-
-// Slice iteration order is deterministic, so capture is fine: clean.
-func goodSliceCapture(eng *sim.Engine, wakes []sim.Time) {
-	for i, t := range wakes {
-		eng.Post(t, func() { use(i) })
-	}
-}
-
-// Captures of non-loop state: clean.
-func goodPlainCapture(eng *sim.Engine, d sim.Duration, n int) {
-	eng.PostAfter(d, func() { use(n) })
-}
-
 func badGo() {
 	go func() {}() // want `goroutine started in a deterministic sim package`
 }
@@ -37,20 +19,32 @@ func suppressedGo() {
 	go func() {}()
 }
 
-func badBlockingRecv(eng *sim.Engine, ch chan int) {
-	eng.Post(0, func() { <-ch }) // want `receives from a channel`
+// RunAt bodies run on the sim goroutine and must never block.
+type recvRunner struct{ ch chan int }
+
+func (r *recvRunner) RunAt(sim.Time) { <-r.ch } // want `receives from a channel`
+
+// Outside RunAt the same receive is host-side code: clean.
+func (r *recvRunner) drain() { <-r.ch }
+
+type sendRunner struct{ ch chan int }
+
+func (r *sendRunner) RunAt(sim.Time) { r.ch <- 1 } // want `sends on a channel`
+
+type selectRunner struct{ ch chan int }
+
+func (r *selectRunner) RunAt(sim.Time) {
+	select { // want `uses select`
+	case <-r.ch: // want `receives from a channel`
+	default:
+	}
 }
 
-func badBlockingSend(eng *sim.Engine, ch chan int) {
-	eng.Post(0, func() { ch <- 1 }) // want `sends on a channel`
-}
+type lockRunner struct{ mu *sync.Mutex }
 
-func badLock(eng *sim.Engine, mu *sync.Mutex) {
-	eng.Post(0, func() { mu.Lock() }) // want `sync\.Mutex\.Lock`
-}
+func (r *lockRunner) RunAt(sim.Time) { r.mu.Lock() } // want `sync\.Mutex\.Lock`
 
-// wake is a pooled-closure Runner; the PostRun/Arm family schedules it
-// by value instead of by closure.
+// wake is a pooled Runner the PostRun/Arm family schedules.
 type wake struct {
 	id int
 }
@@ -95,4 +89,9 @@ func goodRunnerSliceCapture(eng *sim.Engine, wakes []sim.Time) {
 	for i, t := range wakes {
 		eng.PostRun(t, &wake{id: i})
 	}
+}
+
+// Runners built from non-loop state: clean.
+func goodPlainPayload(eng *sim.Engine, d sim.Duration, n int) {
+	eng.PostRunAfter(d, &wake{id: n})
 }

@@ -15,6 +15,12 @@ import (
 	"repro/internal/sim"
 )
 
+// runFunc adapts a plain function to sim.Runner, so tests can schedule
+// inline fault actions.
+type runFunc func(now sim.Time)
+
+func (f runFunc) RunAt(now sim.Time) { f(now) }
+
 // spawnForkStorm installs a root task forking n compute children, so
 // that queues are populated when a fault lands.
 func spawnForkStorm(m *Machine, spec *machine.Spec, n int, work sim.Duration) {
@@ -43,10 +49,10 @@ func hotplugUnderLoad(t *testing.T, pol sched.Policy) (*Machine, *invariant.Chec
 	// Offline a whole physical core (both hyperthreads) plus a neighbour
 	// once the load is up; bring one back while the run is still draining.
 	sib := spec.Topo.Sibling(2)
-	m.Engine().At(4*sim.Millisecond, func() { m.OfflineCore(2) })
-	m.Engine().At(4*sim.Millisecond, func() { m.OfflineCore(sib) })
-	m.Engine().At(5*sim.Millisecond, func() { m.OfflineCore(3) })
-	m.Engine().At(12*sim.Millisecond, func() { m.OnlineCore(2) })
+	m.Engine().PostRun(4*sim.Millisecond, runFunc(func(sim.Time) { m.OfflineCore(2) }))
+	m.Engine().PostRun(4*sim.Millisecond, runFunc(func(sim.Time) { m.OfflineCore(sib) }))
+	m.Engine().PostRun(5*sim.Millisecond, runFunc(func(sim.Time) { m.OfflineCore(3) }))
+	m.Engine().PostRun(12*sim.Millisecond, runFunc(func(sim.Time) { m.OnlineCore(2) }))
 
 	res := m.Run(5 * sim.Second)
 	if res == nil {
@@ -114,8 +120,8 @@ func TestThrottleCapsFrequencyUnderCheck(t *testing.T) {
 	check := invariant.New()
 	m := New(Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 1, Check: check})
 	spawnForkStorm(m, spec, 8, 20*sim.Millisecond)
-	m.Engine().At(4*sim.Millisecond, func() { m.ThrottleSocket(0, 1800) })
-	m.Engine().At(30*sim.Millisecond, func() { m.ThrottleSocket(0, 0) })
+	m.Engine().PostRun(4*sim.Millisecond, runFunc(func(sim.Time) { m.ThrottleSocket(0, 1800) }))
+	m.Engine().PostRun(30*sim.Millisecond, runFunc(func(sim.Time) { m.ThrottleSocket(0, 0) }))
 	m.Run(5 * sim.Second)
 	// The freq_above_cap invariant swept every event during the throttle
 	// window; zero violations means every grant respected the cap.

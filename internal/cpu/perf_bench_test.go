@@ -127,7 +127,7 @@ func BenchmarkEngineOnly(b *testing.B) {
 }
 
 // engineBenchRunner re-arms its own in-place Event until 100k firings:
-// the closure-free posting pattern the runtime's hot paths use. The
+// the Runner posting pattern the runtime's hot paths use. The
 // whole chain allocates a handful of objects (the runner, one engine
 // node slab), independent of the event count.
 type engineBenchRunner struct {
@@ -140,26 +140,5 @@ func (r *engineBenchRunner) RunAt(now sim.Time) {
 	r.n++
 	if r.n < 100000 {
 		r.e.ArmAfter(&r.ev, sim.Microsecond, r)
-	}
-}
-
-// BenchmarkEnginePost is BenchmarkEngineOnly on the closure Post path:
-// the same chain of self-rescheduling callbacks, but each link is a
-// fresh closure. The allocs/op gap between the two benchmarks is the
-// per-event cost the Runner API removes.
-func BenchmarkEnginePost(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := sim.NewEngine()
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < 100000 {
-				e.PostAfter(sim.Microsecond, tick)
-			}
-		}
-		e.PostAfter(sim.Microsecond, tick)
-		e.Run(0)
 	}
 }

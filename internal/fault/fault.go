@@ -103,28 +103,48 @@ func (p *Plan) Apply(inj Injector) {
 	}
 	eng := inj.Engine()
 	for _, it := range p.Items {
-		it := it
+		eng.PostRun(it.At, &action{inj: inj, it: it})
 		switch it.Kind {
-		case Offline:
-			eng.At(it.At, func() { inj.OfflineCore(it.Core) })
+		case Offline, Throttle, Jitter:
 			if it.Dur > 0 {
-				eng.At(it.At+it.Dur, func() { inj.OnlineCore(it.Core) })
+				eng.PostRun(it.At+it.Dur, &action{inj: inj, it: it, undo: true})
 			}
-		case Online:
-			eng.At(it.At, func() { inj.OnlineCore(it.Core) })
-		case Throttle:
-			eng.At(it.At, func() { inj.ThrottleSocket(it.Socket, it.Cap) })
-			if it.Dur > 0 {
-				eng.At(it.At+it.Dur, func() { inj.ThrottleSocket(it.Socket, 0) })
-			}
-		case Jitter:
-			eng.At(it.At, func() { inj.SetTickJitter(it.Amp) })
-			if it.Dur > 0 {
-				eng.At(it.At+it.Dur, func() { inj.SetTickJitter(0) })
-			}
-		case Spike:
-			eng.At(it.At, func() { inj.InjectLoad(it.Count, it.Work) })
 		}
+	}
+}
+
+// action is one scheduled application of an item: its forward action,
+// or with undo set the reverse action that closes the item's window.
+type action struct {
+	inj  Injector
+	it   Item
+	undo bool
+}
+
+// RunAt applies the action to the injector.
+func (a *action) RunAt(sim.Time) {
+	it := a.it
+	switch it.Kind {
+	case Offline:
+		if a.undo {
+			a.inj.OnlineCore(it.Core)
+		} else {
+			a.inj.OfflineCore(it.Core)
+		}
+	case Online:
+		a.inj.OnlineCore(it.Core)
+	case Throttle:
+		if a.undo {
+			it.Cap = 0
+		}
+		a.inj.ThrottleSocket(it.Socket, it.Cap)
+	case Jitter:
+		if a.undo {
+			it.Amp = 0
+		}
+		a.inj.SetTickJitter(it.Amp)
+	case Spike:
+		a.inj.InjectLoad(it.Count, it.Work)
 	}
 }
 

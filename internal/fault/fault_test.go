@@ -180,15 +180,19 @@ func (r *recInjector) ThrottleSocket(s int, cap machine.FreqMHz) {
 func (r *recInjector) SetTickJitter(amp sim.Duration)   { r.rec("jitter %d", amp) }
 func (r *recInjector) InjectLoad(n int, w sim.Duration) { r.rec("spike %dx%d", n, w) }
 
+// TestApplySchedulesForwardAndReverse also pins the Plan contract that
+// same-instant items apply in list order (off:c1 then on:c1 at 5ms).
 func TestApplySchedulesForwardAndReverse(t *testing.T) {
 	inj := &recInjector{eng: sim.NewEngine()}
-	mustParse(t, "off:c2@10ms+5ms,throttle:s0@1ms+2ms=1500MHz,jitter:@0ns+20ms=1ms,spike:@4ms=3x1ms").Apply(inj)
+	mustParse(t, "off:c2@10ms+5ms,throttle:s0@1ms+2ms=1500MHz,jitter:@0ns+20ms=1ms,spike:@4ms=3x1ms,off:c1@5ms,on:c1@5ms").Apply(inj)
 	inj.eng.Run(0)
 	want := []string{
 		"0.000000s jitter 1000000",
 		"0.001000s throttle s0=1500",
 		"0.003000s throttle s0=0",
 		"0.004000s spike 3x1000000",
+		"0.005000s off c1",
+		"0.005000s on c1",
 		"0.010000s off c2",
 		"0.015000s on c2",
 		"0.020000s jitter 0",

@@ -38,9 +38,11 @@ func FuzzEngineOrdering(f *testing.F) {
 		schedule = func(at Time) {
 			my := seq
 			seq++
-			eng.At(at, func() {
+			eng.PostRun(at, runFunc(func(now Time) {
 				fired++
-				now := eng.Now()
+				if now != eng.Now() {
+					t.Fatalf("RunAt got %v, engine clock %v", now, eng.Now())
+				}
 				if now != at {
 					t.Fatalf("event scheduled for %v fired at %v", at, now)
 				}
@@ -56,7 +58,7 @@ func FuzzEngineOrdering(f *testing.F) {
 				if b, ok := next(); ok {
 					schedule(now + Time(b%16))
 				}
-			})
+			}))
 		}
 		// Seed from the first half of the input; the second half feeds
 		// nested scheduling from inside firing events.
@@ -85,7 +87,7 @@ type oracleVM struct {
 	data []byte
 	idx  int
 	log  []string
-	evs  []*Event // handles from After, for Cancel/Reschedule ops
+	evs  []*Event // handles from ArmAfter, for Cancel/re-Arm ops
 	arm  [4]Event // persistent in-place handles for Arm ops
 	id   int
 }
@@ -118,13 +120,21 @@ func (vm *oracleVM) delay() Duration {
 	}
 }
 
-// vmRunner is the pooled Runner the VM posts via PostRun/Arm.
+// vmRunner is the Runner every VM op schedules; id names the firing in
+// the log.
 type vmRunner struct {
 	vm *oracleVM
 	id int
 }
 
 func (r *vmRunner) RunAt(now Time) { r.vm.fire(r.id, now) }
+
+// runner returns a Runner with the next firing id.
+func (vm *oracleVM) runner() *vmRunner {
+	r := &vmRunner{vm: vm, id: vm.id}
+	vm.id++
+	return r
+}
 
 func (vm *oracleVM) fire(id int, now Time) {
 	vm.log = append(vm.log, fmt.Sprintf("f%d@%d", id, now))
@@ -138,38 +148,33 @@ func (vm *oracleVM) step() {
 		return
 	}
 	switch op % 8 {
-	case 0, 1: // fire-and-forget closure
-		id := vm.id
-		vm.id++
-		vm.e.PostAfter(vm.delay(), func() { vm.fire(id, vm.e.Now()) })
-	case 2: // handle-returning closure
-		id := vm.id
-		vm.id++
-		vm.evs = append(vm.evs, vm.e.After(vm.delay(), func() { vm.fire(id, vm.e.Now()) }))
+	case 0, 1: // fire-and-forget, relative delay
+		vm.e.PostRunAfter(vm.delay(), vm.runner())
+	case 2: // fresh tracked handle
+		ev := &Event{}
+		vm.e.ArmAfter(ev, vm.delay(), vm.runner())
+		vm.evs = append(vm.evs, ev)
 	case 3: // cancel a tracked handle
 		if len(vm.evs) > 0 {
 			b, _ := vm.next()
 			i := int(b) % len(vm.evs)
 			vm.log = append(vm.log, fmt.Sprintf("c%d:%v", i, vm.e.Cancel(vm.evs[i])))
 		}
-	case 4: // reschedule a tracked handle
+	case 4: // re-arm a tracked handle (pending, fired or cancelled)
 		if len(vm.evs) > 0 {
 			b, _ := vm.next()
 			i := int(b) % len(vm.evs)
-			id := vm.id
-			vm.id++
-			vm.e.Reschedule(vm.evs[i], vm.e.Now()+vm.delay(), func() { vm.fire(id, vm.e.Now()) })
+			r := vm.runner()
+			vm.e.Arm(vm.evs[i], vm.e.Now()+vm.delay(), r)
 		}
-	case 5: // arm a persistent in-place handle with a pooled runner
+	case 5: // arm a persistent in-place handle
 		b, _ := vm.next()
 		i := int(b) % len(vm.arm)
-		id := vm.id
-		vm.id++
-		vm.e.Arm(&vm.arm[i], vm.e.Now()+vm.delay(), &vmRunner{vm: vm, id: id})
-	case 6: // handle-free pooled runner
-		id := vm.id
-		vm.id++
-		vm.e.PostRun(vm.e.Now()+vm.delay(), &vmRunner{vm: vm, id: id})
+		r := vm.runner()
+		vm.e.Arm(&vm.arm[i], vm.e.Now()+vm.delay(), r)
+	case 6: // fire-and-forget, absolute time
+		r := vm.runner()
+		vm.e.PostRun(vm.e.Now()+vm.delay(), r)
 	case 7: // past-time scheduling must panic, identically on both engines
 		d := vm.delay() + 1
 		func() {
@@ -182,7 +187,7 @@ func (vm *oracleVM) step() {
 				vm.log = append(vm.log, "p:skip")
 				return
 			}
-			vm.e.Post(vm.e.Now()-d, func() {})
+			vm.e.PostRun(vm.e.Now()-d, vm.runner())
 		}()
 	}
 }
@@ -215,7 +220,7 @@ func compareOracleLogs(t *testing.T, data []byte) {
 }
 
 // FuzzEngineDifferential is the heap-vs-wheel oracle: a fuzz-derived
-// program of Post/After/Cancel/Reschedule/Arm/PostRun ops — including
+// program of PostRun/PostRunAfter/ArmAfter/Cancel/Arm ops — including
 // past-time scheduling attempts — runs against both engines, which must
 // produce identical fire orders, cancel results, and panics.
 func FuzzEngineDifferential(f *testing.F) {

@@ -5,12 +5,18 @@ import (
 	"testing/quick"
 )
 
+// runFunc adapts a plain function to Runner, so tests can schedule
+// inline callbacks.
+type runFunc func(now Time)
+
+func (f runFunc) RunAt(now Time) { f(now) }
+
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e.PostRun(30, runFunc(func(Time) { got = append(got, 3) }))
+	e.PostRun(10, runFunc(func(Time) { got = append(got, 1) }))
+	e.PostRun(20, runFunc(func(Time) { got = append(got, 2) }))
 	e.Run(0)
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -28,7 +34,7 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.PostRun(5, runFunc(func(Time) { got = append(got, i) }))
 	}
 	e.Run(0)
 	for i := range got {
@@ -40,20 +46,26 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 
 func TestEngineAfter(t *testing.T) {
 	e := NewEngine()
-	var fired Time = -1
-	e.At(100, func() {
-		e.After(50, func() { fired = e.Now() })
-	})
+	var posted, armed Time = -1, -1
+	var ev Event
+	e.PostRun(100, runFunc(func(Time) {
+		e.PostRunAfter(50, runFunc(func(now Time) { posted = now }))
+		e.ArmAfter(&ev, 60, runFunc(func(now Time) { armed = now }))
+	}))
 	e.Run(0)
-	if fired != 150 {
-		t.Fatalf("After fired at %d, want 150", fired)
+	if posted != 150 {
+		t.Fatalf("PostRunAfter fired at %d, want 150", posted)
+	}
+	if armed != 160 {
+		t.Fatalf("ArmAfter fired at %d, want 160", armed)
 	}
 }
 
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	ev := e.At(10, func() { ran = true })
+	ev := &Event{}
+	e.Arm(ev, 10, runFunc(func(Time) { ran = true }))
 	if !e.Cancel(ev) {
 		t.Fatal("Cancel returned false for pending event")
 	}
@@ -70,41 +82,44 @@ func TestEngineCancelNested(t *testing.T) {
 	// Cancelling an event from inside another event at the same instant.
 	e := NewEngine()
 	ran := false
-	var victim *Event
-	e.At(10, func() { e.Cancel(victim) })
-	victim = e.At(10, func() { ran = true })
+	var victim Event
+	e.PostRun(10, runFunc(func(Time) { e.Cancel(&victim) }))
+	e.Arm(&victim, 10, runFunc(func(Time) { ran = true }))
 	e.Run(0)
 	if ran {
 		t.Fatal("event cancelled at its own instant still ran")
 	}
 }
 
-func TestEngineReschedule(t *testing.T) {
+func TestEngineArmReschedules(t *testing.T) {
+	// Arming a pending event moves it: the old instant never fires.
 	e := NewEngine()
-	var at Time
-	ev := e.At(10, func() { at = e.Now() })
-	e.Reschedule(ev, 40, func() { at = e.Now() })
+	var at []Time
+	rec := runFunc(func(now Time) { at = append(at, now) })
+	var ev Event
+	e.Arm(&ev, 10, rec)
+	e.Arm(&ev, 40, rec)
 	e.Run(0)
-	if at != 40 {
-		t.Fatalf("rescheduled event fired at %d, want 40", at)
+	if len(at) != 1 || at[0] != 40 {
+		t.Fatalf("rescheduled event fired at %v, want [40]", at)
 	}
 	// Re-arming an already-fired event must work too.
-	e.Reschedule(ev, 60, func() { at = e.Now() })
+	e.Arm(&ev, 60, rec)
 	e.Run(0)
-	if at != 60 {
-		t.Fatalf("re-armed event fired at %d, want 60", at)
+	if len(at) != 2 || at[1] != 60 {
+		t.Fatalf("re-armed event fired at %v, want [40 60]", at)
 	}
 }
 
 func TestEngineRunLimit(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tick func()
-	tick = func() {
+	var tick runFunc
+	tick = func(Time) {
 		count++
-		e.After(10, tick)
+		e.PostRunAfter(10, tick)
 	}
-	e.After(10, tick)
+	e.PostRunAfter(10, tick)
 	e.Run(100)
 	if count != 10 {
 		t.Fatalf("count = %d, want 10", count)
@@ -119,23 +134,32 @@ func TestEngineRunLimit(t *testing.T) {
 
 func TestEnginePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	nop := runFunc(func(Time) {})
+	mustPanic := func(what string, schedule func()) {
 		defer func() {
 			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
+				t.Errorf("%s in the past did not panic", what)
 			}
 		}()
-		e.At(5, func() {})
-	})
+		schedule()
+	}
+	e.PostRun(10, runFunc(func(Time) {
+		mustPanic("PostRun", func() { e.PostRun(5, nop) })
+		var ev Event
+		mustPanic("Arm", func() { e.Arm(&ev, 5, nop) })
+	}))
 	e.Run(0)
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after rejected past-time events, want 0", e.Pending())
+	}
 }
 
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	var tick func()
-	tick = func() { n++; e.After(1, tick) }
-	e.After(1, tick)
+	var tick runFunc
+	tick = func(Time) { n++; e.PostRunAfter(1, tick) }
+	e.PostRunAfter(1, tick)
 	e.RunUntil(func() bool { return n >= 7 })
 	if n != 7 {
 		t.Fatalf("n = %d, want 7", n)
@@ -262,9 +286,11 @@ func TestEngineHeapProperty(t *testing.T) {
 		e := NewEngine()
 		var fired []Time
 		var events []*Event
+		rec := runFunc(func(now Time) { fired = append(fired, now) })
 		for i := 0; i < int(n)+1; i++ {
 			d := Duration(r.Intn(1000))
-			ev := e.After(d, func() { fired = append(fired, e.Now()) })
+			ev := &Event{}
+			e.ArmAfter(ev, d, rec)
 			events = append(events, ev)
 			if r.Intn(4) == 0 && len(events) > 1 {
 				e.Cancel(events[r.Intn(len(events))])
@@ -286,7 +312,7 @@ func TestEngineHeapProperty(t *testing.T) {
 func TestEngineStepsCount(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.At(Time(i), func() {})
+		e.PostRun(Time(i), runFunc(func(Time) {}))
 	}
 	e.Run(0)
 	if e.Steps() != 5 {
@@ -294,17 +320,19 @@ func TestEngineStepsCount(t *testing.T) {
 	}
 }
 
-func TestPostOrderingInterleavesWithAt(t *testing.T) {
-	// Handle-free Post events share the sequence counter with At events,
-	// so same-instant events fire in exact scheduling order regardless of
-	// which API scheduled them.
+func TestPostRunOrderingInterleavesWithArm(t *testing.T) {
+	// Handle-free PostRun events share the sequence counter with armed
+	// events, so same-instant events fire in exact scheduling order
+	// regardless of which API scheduled them.
 	e := NewEngine()
 	var order []int
-	e.At(10, func() { order = append(order, 0) })
-	e.Post(10, func() { order = append(order, 1) })
-	e.At(10, func() { order = append(order, 2) })
-	e.PostAfter(10, func() { order = append(order, 3) })
-	e.Post(5, func() { order = append(order, 4) })
+	rec := func(i int) Runner { return runFunc(func(Time) { order = append(order, i) }) }
+	var a, b Event
+	e.Arm(&a, 10, rec(0))
+	e.PostRun(10, rec(1))
+	e.ArmAfter(&b, 10, rec(2))
+	e.PostRunAfter(10, rec(3))
+	e.PostRun(5, rec(4))
 	e.Run(0)
 	want := []int{4, 0, 1, 2, 3}
 	for i := range want {
@@ -315,12 +343,23 @@ func TestPostOrderingInterleavesWithAt(t *testing.T) {
 }
 
 func TestPostAfterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for negative PostAfter delay")
-		}
-	}()
-	NewEngine().PostAfter(-1, func() {})
+	nop := runFunc(func(Time) {})
+	for _, c := range []struct {
+		name     string
+		schedule func(e *Engine)
+	}{
+		{"PostRunAfter", func(e *Engine) { e.PostRunAfter(-1, nop) }},
+		{"ArmAfter", func(e *Engine) { e.ArmAfter(&Event{}, -1, nop) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic for negative %s delay", c.name)
+				}
+			}()
+			c.schedule(NewEngine())
+		}()
+	}
 }
 
 func TestCancelAmongPostedEvents(t *testing.T) {
@@ -332,13 +371,16 @@ func TestCancelAmongPostedEvents(t *testing.T) {
 		e := NewEngine()
 		var fired []Time
 		var events []*Event
+		rec := runFunc(func(now Time) { fired = append(fired, now) })
 		cancelled := 0
 		for i := 0; i < int(n)+4; i++ {
 			d := Duration(r.Intn(500))
 			if r.Intn(2) == 0 {
-				e.PostAfter(d, func() { fired = append(fired, e.Now()) })
+				e.PostRunAfter(d, rec)
 			} else {
-				events = append(events, e.After(d, func() { fired = append(fired, e.Now()) }))
+				ev := &Event{}
+				e.ArmAfter(ev, d, rec)
+				events = append(events, ev)
 			}
 			if len(events) > 0 && r.Intn(3) == 0 {
 				if e.Cancel(events[r.Intn(len(events))]) {
@@ -362,16 +404,17 @@ func TestCancelAmongPostedEvents(t *testing.T) {
 	}
 }
 
-func TestRescheduleFiredEventAfterPosts(t *testing.T) {
+func TestArmFiredEventAfterPosts(t *testing.T) {
 	// Re-arming an already-fired event (how completion timers behave in
-	// internal/cpu) must keep working with value entries in the queue.
+	// internal/cpu) must keep working with handle-free entries in the
+	// queue.
 	e := NewEngine()
 	count := 0
-	var ev *Event
-	ev = e.At(5, func() { count++ })
-	e.Post(7, func() {
-		e.Reschedule(ev, 12, func() { count += 10 })
-	})
+	ev := &Event{}
+	e.Arm(ev, 5, runFunc(func(Time) { count++ }))
+	e.PostRun(7, runFunc(func(Time) {
+		e.Arm(ev, 12, runFunc(func(Time) { count += 10 }))
+	}))
 	e.Run(0)
 	if count != 11 {
 		t.Fatalf("count = %d, want 11", count)
@@ -386,10 +429,11 @@ func TestEngineRequestStop(t *testing.T) {
 	// raised mid-batch lets the rest of the batch fire — but never more.
 	e := NewEngine()
 	var fired int
+	count := runFunc(func(Time) { fired++ })
 	for i := Time(1); i <= 3*stopCheckInterval; i++ {
-		e.Post(i, func() { fired++ })
+		e.PostRun(i, count)
 	}
-	e.Post(3, func() { e.RequestStop() })
+	e.PostRun(3, runFunc(func(Time) { e.RequestStop() }))
 	e.Run(0)
 	if !e.StopRequested() {
 		t.Error("StopRequested = false after RequestStop")
@@ -417,11 +461,12 @@ func TestEngineRequestStopLatencyBounded(t *testing.T) {
 	e := NewEngine()
 	total := 10 * stopCheckInterval
 	var fired int
+	count := runFunc(func(Time) { fired++ })
 	for i := 0; i < total; i++ {
-		e.Post(Time(i+1), func() { fired++ })
+		e.PostRun(Time(i+1), count)
 	}
 	stopAt := 2*stopCheckInterval + 17 // mid-batch, not on a boundary
-	e.Post(Time(stopAt), func() { e.RequestStop() })
+	e.PostRun(Time(stopAt), runFunc(func(Time) { e.RequestStop() }))
 	e.Run(0)
 	if fired < stopAt {
 		t.Errorf("fired = %d, want at least %d (events before the stop)", fired, stopAt)
@@ -437,9 +482,9 @@ func TestEngineRequestStopConcurrent(t *testing.T) {
 	// event chain. Under -race this also proves RequestStop is the one
 	// engine method safe to call cross-goroutine.
 	e := NewEngine()
-	var chain func()
-	chain = func() { e.PostAfter(Millisecond, chain) }
-	e.PostAfter(Millisecond, chain)
+	var chain runFunc
+	chain = func(Time) { e.PostRunAfter(Millisecond, chain) }
+	e.PostRunAfter(Millisecond, chain)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -53,7 +53,6 @@ const (
 type node struct {
 	when Time
 	seq  uint64
-	fn   func()
 	r    Runner
 	ev   *Event
 	next *node // bucket chain / free-list link
@@ -95,7 +94,6 @@ func (e *Engine) newNode() *node {
 //
 //pool:put
 func (e *Engine) freeNode(n *node) {
-	n.fn = nil
 	n.r = nil
 	n.ev = nil
 	n.loc = locFree

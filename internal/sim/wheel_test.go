@@ -15,8 +15,8 @@ func TestWheelCrossBucketOrdering(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		i := i
 		at := Time(i) * 17 * Microsecond
-		e.Post(at, func() { fired = append(fired, 2*i) })
-		e.Post(at, func() { fired = append(fired, 2*i+1) }) // same instant, FIFO after
+		e.PostRun(at, runFunc(func(Time) { fired = append(fired, 2*i) }))
+		e.PostRun(at, runFunc(func(Time) { fired = append(fired, 2*i+1) })) // same instant, FIFO after
 	}
 	e.Run(0)
 	if len(fired) != 80 {
@@ -46,12 +46,12 @@ func TestWheelFarFuture(t *testing.T) {
 	var fired []Time
 	for _, at := range times {
 		at := at
-		e.Post(at, func() {
-			if e.Now() != at {
-				t.Fatalf("event for %v fired at %v", at, e.Now())
+		e.PostRun(at, runFunc(func(now Time) {
+			if now != at {
+				t.Fatalf("event for %v fired at %v", at, now)
 			}
 			fired = append(fired, at)
-		})
+		}))
 	}
 	e.Run(0)
 	want := []Time{3 * Microsecond, 2 * Millisecond, 300 * Millisecond, 90 * Second, 400 * Second, 400*Second + 1, 401 * Second}
@@ -72,8 +72,9 @@ func TestWheelFarFuture(t *testing.T) {
 func TestWheelCancelInBucket(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	ev := e.At(10*Millisecond, func() { t.Fatal("cancelled event fired") })
-	e.Post(10*Millisecond+1, func() { fired++ })
+	ev := &Event{}
+	e.Arm(ev, 10*Millisecond, runFunc(func(Time) { t.Fatal("cancelled event fired") }))
+	e.PostRun(10*Millisecond+1, runFunc(func(Time) { fired++ }))
 	if e.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", e.Pending())
 	}
@@ -101,13 +102,13 @@ func TestWheelCancelInBucket(t *testing.T) {
 func TestWheelSpanBoundaryCascade(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	rec := func(at Time) func() {
-		return func() {
-			if e.Now() != at {
-				t.Fatalf("event for %v fired at %v", at, e.Now())
+	rec := func(at Time) Runner {
+		return runFunc(func(now Time) {
+			if now != at {
+				t.Fatalf("event for %v fired at %v", at, now)
 			}
 			fired = append(fired, at)
-		}
+		})
 	}
 	// A sits in the last level-0 bucket of level-1 span 0: draining it
 	// sets horizon = exactly the span-1 boundary.
@@ -117,9 +118,9 @@ func TestWheelSpanBoundaryCascade(t *testing.T) {
 	// D is far enough out that, with span 1's level-1 bucket skipped, it
 	// would fire before B — the out-of-order symptom.
 	d := Time(3*wheelSlots) << bucketShift
-	e.Post(a, rec(a))
-	e.Post(b, rec(b))
-	e.Post(d, rec(d))
+	e.PostRun(a, rec(a))
+	e.PostRun(b, rec(b))
+	e.PostRun(d, rec(d))
 	e.Run(0)
 	want := []Time{a, b, d}
 	if len(fired) != 3 || fired[0] != a || fired[1] != b || fired[2] != d {
@@ -171,8 +172,7 @@ func TestArmZeroEventAndReuse(t *testing.T) {
 	}
 }
 
-// TestEngineSteadyStateAllocFree proves the closure-free path allocates
-// nothing once the node slab and pools are warm: a self-re-arming timer
+// TestEngineSteadyStateAllocFree proves the engine allocates nothing once the node slab and pools are warm: a self-re-arming timer
 // chain driven through Arm on a preallocated receiver.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine()
@@ -202,11 +202,11 @@ func TestEngineHeapMatchesWheelSimple(t *testing.T) {
 			if depth > 6 {
 				return
 			}
-			e.PostAfter(base, func() {
-				log = append(log, fmt.Sprintf("%d@%d", depth, e.Now()))
+			e.PostRunAfter(base, runFunc(func(now Time) {
+				log = append(log, fmt.Sprintf("%d@%d", depth, now))
 				step(depth+1, base*7)
 				step(depth+1, base*3+1)
-			})
+			}))
 		}
 		step(0, 1)
 		step(0, 40*Millisecond)
