@@ -7,108 +7,126 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/svgplot"
 	"repro/internal/workload"
 )
 
+// figure is one nestfig invocation: which plot, of which cell.
+type figure struct {
+	kind, workload, suite, machine, sched, gov string
+	scale                                      float64
+	windowMS                                   int
+	seed                                       uint64
+}
+
 func main() {
 	var (
-		kind        = flag.String("kind", "trace", "figure kind: trace, underload, timeseries, speedup")
-		wl          = flag.String("workload", "configure/llvm_ninja", "workload (trace/underload/timeseries)")
-		suite       = flag.String("suite", "configure", "suite for -kind speedup: configure, dacapo, nas")
-		machineName = flag.String("machine", "5218", "machine preset")
-		sched       = flag.String("sched", "cfs", "scheduler (trace/underload/timeseries)")
-		gov         = flag.String("gov", "schedutil", "governor")
-		scale       = flag.Float64("scale", 0.1, "workload scale")
-		windowMS    = flag.Int("window", 300, "trace window in milliseconds")
-		seed        = flag.Uint64("seed", 1, "seed")
-		out         = flag.String("out", "figure.svg", "output SVG path")
+		fig figure
+		out string
 	)
+	flag.StringVar(&fig.kind, "kind", "trace", "figure kind: trace, underload, timeseries, speedup")
+	flag.StringVar(&fig.workload, "workload", "configure/llvm_ninja", "workload (trace/underload/timeseries)")
+	flag.StringVar(&fig.suite, "suite", "configure", "suite for -kind speedup: configure, dacapo, nas")
+	flag.StringVar(&fig.machine, "machine", "5218", "machine preset")
+	flag.StringVar(&fig.sched, "sched", "cfs", "scheduler (trace/underload/timeseries)")
+	flag.StringVar(&fig.gov, "gov", "schedutil", "governor")
+	flag.Float64Var(&fig.scale, "scale", 0.1, "workload scale")
+	flag.IntVar(&fig.windowMS, "window", 300, "trace window in milliseconds")
+	flag.Uint64Var(&fig.seed, "seed", 1, "seed")
+	flag.StringVar(&out, "out", "figure.svg", "output SVG path")
 	flag.Parse()
 
-	f, err := os.Create(*out)
-	if err != nil {
+	// Render in memory first so a bad flag or a failed run never
+	// truncates an existing output file.
+	var buf bytes.Buffer
+	if err := render(&buf, fig); err != nil {
 		fail(err)
 	}
-	defer f.Close()
-
-	spec, err := machine.Preset(*machineName)
-	if err != nil {
+	if err := os.WriteFile(out, buf.Bytes(), 0o666); err != nil {
 		fail(err)
 	}
-	edges := metrics.EdgesFor(spec)
+	fmt.Println("wrote", out)
+}
 
-	switch *kind {
+// render runs the cell(s) fig names and writes the SVG to w.
+func render(w io.Writer, fig figure) error {
+	spec, err := machine.Preset(fig.machine)
+	if err != nil {
+		return err
+	}
+	title := fmt.Sprintf("%s, %s-%s on %s", fig.workload, fig.sched, fig.gov, spec.Topo.Name())
+
+	switch fig.kind {
 	case "trace", "underload":
-		tr := metrics.NewTrace(0, sim.Time(*windowMS)*sim.Millisecond)
-		_, err := experiments.Run(experiments.RunSpec{
-			Machine: *machineName, Scheduler: *sched, Governor: *gov,
-			Workload: *wl, Scale: *scale, Seed: *seed, Trace: tr,
-		})
-		if err != nil {
-			fail(err)
+		tr := metrics.NewTrace(0, sim.Time(fig.windowMS)*sim.Millisecond)
+		if _, err := experiments.Run(experiments.RunSpec{
+			Machine: fig.machine, Scheduler: fig.sched, Governor: fig.gov,
+			Workload: fig.workload, Scale: fig.scale, Seed: fig.seed, Trace: tr,
+		}); err != nil {
+			return err
 		}
-		title := fmt.Sprintf("%s, %s-%s on %s", *wl, *sched, *gov, spec.Topo.Name())
-		if *kind == "trace" {
-			svgplot.Heatmap(f, title, tr, edges)
+		if fig.kind == "trace" {
+			svgplot.Heatmap(w, title, tr, metrics.EdgesFor(spec))
 		} else {
-			svgplot.UnderloadSeries(f, "underload: "+title, tr.UnderloadSeries)
+			svgplot.UnderloadSeries(w, "underload: "+title, tr.UnderloadSeries)
 		}
 
 	case "timeseries":
-		ser := metrics.NewTimeSeries(1)
-		_, err := experiments.Run(experiments.RunSpec{
-			Machine: *machineName, Scheduler: *sched, Governor: *gov,
-			Workload: *wl, Scale: *scale, Seed: *seed, Series: ser,
-		})
-		if err != nil {
-			fail(err)
+		var gauges obs.SeriesBuffer
+		if _, err := experiments.Run(experiments.RunSpec{
+			Machine: fig.machine, Scheduler: fig.sched, Governor: fig.gov,
+			Workload: fig.workload, Scale: fig.scale, Seed: fig.seed,
+			Obs: obs.New(&gauges), SampleEvery: sim.Tick,
+		}); err != nil {
+			return err
 		}
-		title := fmt.Sprintf("%s, %s-%s on %s", *wl, *sched, *gov, spec.Topo.Name())
-		svgplot.TimeSeries(f, title, ser, float64(spec.MaxTurbo()))
+		svgplot.TimeSeries(w, title, gauges.Cores, float64(spec.MaxTurbo()))
 
 	case "speedup":
 		var wls []string
-		for _, w := range workload.Suite(*suite) {
-			wls = append(wls, w.Name)
+		for _, wl := range workload.Suite(fig.suite) {
+			wls = append(wls, wl.Name)
 		}
 		if len(wls) == 0 {
-			fail(fmt.Errorf("unknown suite %q", *suite))
+			return fmt.Errorf("unknown suite %q", fig.suite)
 		}
 		seriesNames := []string{"CFS-perf", "Nest-sched", "Nest-perf"}
 		configs := [][2]string{{"cfs", "performance"}, {"nest", "schedutil"}, {"nest", "performance"}}
 		var groups []svgplot.BarGroup
-		for _, w := range wls {
-			base, err := mean(*machineName, "cfs", "schedutil", w, *scale, *seed)
+		for _, wl := range wls {
+			base, err := mean(fig.machine, "cfs", "schedutil", wl, fig.scale, fig.seed)
 			if err != nil {
-				fail(err)
+				return err
 			}
-			g := svgplot.BarGroup{Label: shortName(w)}
+			g := svgplot.BarGroup{Label: shortName(wl)}
 			for _, c := range configs {
-				v, err := mean(*machineName, c[0], c[1], w, *scale, *seed)
+				v, err := mean(fig.machine, c[0], c[1], wl, fig.scale, fig.seed)
 				if err != nil {
-					fail(err)
+					return err
 				}
 				g.Values = append(g.Values, 100*metrics.Speedup(base, v))
 			}
 			groups = append(groups, g)
 		}
-		svgplot.Bars(f, fmt.Sprintf("%s suite on %s: speedup vs CFS-schedutil (%%)", *suite, spec.Topo.Name()),
+		svgplot.Bars(w, fmt.Sprintf("%s suite on %s: speedup vs CFS-schedutil (%%)", fig.suite, spec.Topo.Name()),
 			seriesNames, groups)
 
 	default:
-		fail(fmt.Errorf("unknown -kind %q", *kind))
+		return fmt.Errorf("unknown -kind %q", fig.kind)
 	}
-	fmt.Println("wrote", *out)
+	return nil
 }
 
 func mean(mach, sched, gov, wl string, scale float64, seed uint64) (float64, error) {

@@ -107,10 +107,6 @@ type Config struct {
 	// Trace, when non-nil, collects per-tick activity inside its window.
 	Trace *metrics.Trace
 
-	// Series, when non-nil, collects per-tick machine-wide samples
-	// (runnable count, busy cores, mean frequency, power).
-	Series *metrics.TimeSeries
-
 	// SampleEvery, when positive, emits periodic gauge events (per-core
 	// state/frequency/queue depth, nest sizes, per-socket busy share)
 	// through Obs at the given sim-time interval, rounded up to whole
@@ -300,10 +296,6 @@ type Machine struct {
 	sockRunning []int
 
 	res *metrics.Result
-
-	// lastTickPowerW is the whole-machine power computed by the last
-	// energy pass, for the time-series sampler.
-	lastTickPowerW float64
 
 	// bootCore is where root tasks are forked from.
 	bootCore machine.CoreID

@@ -8,6 +8,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/proc"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -324,22 +325,35 @@ func TestWakeLatencyRecorded(t *testing.T) {
 	}
 }
 
+// TestTimeSeriesSampling checks the per-tick gauge stream nestfig plots:
+// sampling every tick yields whole per-tick batches, and the running
+// task shows as a busy core at a real frequency.
 func TestTimeSeriesSampling(t *testing.T) {
 	spec := machine.IntelXeon6130(2)
-	ser := metrics.NewTimeSeries(1)
-	m := New(Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 1, Series: ser})
+	var buf obs.SeriesBuffer
+	m := New(Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 1,
+		Obs: obs.New(&buf), SampleEvery: sim.Tick})
 	m.Spawn("w", computeFor(spec, 50*sim.Millisecond))
-	res := m.Run(sim.Second)
-	if len(ser.Samples) == 0 {
-		t.Fatal("no samples collected")
+	m.Run(sim.Second)
+	nCores := spec.Topo.NumCores()
+	if len(buf.Cores) == 0 || len(buf.Cores)%nCores != 0 {
+		t.Fatalf("%d core gauges is not a whole number of %d-core batches", len(buf.Cores), nCores)
 	}
-	if ser.MaxRunnable() < 1 {
-		t.Fatal("runnable never observed")
+	if batches := len(buf.Cores) / nCores; batches < 5 {
+		t.Fatalf("only %d batches for a 50ms task sampled every tick", batches)
 	}
-	if ser.MeanPower() <= 0 {
-		t.Fatal("power never sampled")
+	busy := 0
+	for _, g := range buf.Cores {
+		if g.State == "busy" {
+			busy++
+			if g.FreqMHz <= 0 {
+				t.Fatalf("busy core at %d MHz: %+v", g.FreqMHz, g)
+			}
+		}
 	}
-	_ = res
+	if busy == 0 {
+		t.Fatal("running task never sampled as busy")
+	}
 }
 
 func TestTimelineRecording(t *testing.T) {

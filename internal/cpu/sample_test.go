@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	nest "repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/governor"
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -12,10 +13,17 @@ import (
 	"repro/internal/sim"
 )
 
-func sampleRun(t *testing.T, hub *obs.Hub, every sim.Duration) *metrics.Result {
+// sampleRun runs the bench workload on a two-socket 6130 under the given
+// fault plan ("" for none), sampling gauges every `every`.
+func sampleRun(t *testing.T, hub *obs.Hub, every sim.Duration, faults string) *metrics.Result {
 	t.Helper()
 	spec := machine.IntelXeon6130(2)
+	plan, err := fault.Parse(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := New(Config{Spec: spec, Gov: governor.Schedutil{}, Policy: nest.Default(), Seed: 42, Obs: hub, SampleEvery: every})
+	plan.Apply(m)
 	benchWorkload(m, spec)
 	return m.Run(0)
 }
@@ -25,11 +33,11 @@ func sampleRun(t *testing.T, hub *obs.Hub, every sim.Duration) *metrics.Result {
 // run's result (minus the obs aggregates, which exist only when a hub
 // does) must encode to the same bytes as an unsampled, unobserved run.
 func TestSamplerByteIdentity(t *testing.T) {
-	base := sampleRun(t, nil, 0)
+	base := sampleRun(t, nil, 0, "")
 
 	var buf obs.SeriesBuffer
 	hub := obs.New(&buf)
-	sampled := sampleRun(t, hub, 4*sim.Millisecond)
+	sampled := sampleRun(t, hub, 4*sim.Millisecond, "")
 	if buf.Len() == 0 {
 		t.Fatal("sampler emitted no gauges")
 	}
@@ -74,7 +82,7 @@ func TestSamplerDisabledAddsNoAllocs(t *testing.T) {
 // nothing even with sampling configured.
 func TestSamplerDisabledAddsNoEvents(t *testing.T) {
 	hub := obs.Disabled()
-	sampleRun(t, hub, 4*sim.Millisecond)
+	sampleRun(t, hub, 4*sim.Millisecond, "")
 	if hub.Events() != 0 {
 		t.Fatalf("disabled hub recorded %d events", hub.Events())
 	}
@@ -88,7 +96,7 @@ func TestSamplerDisabledAddsNoEvents(t *testing.T) {
 func TestSamplerGaugeStream(t *testing.T) {
 	var buf obs.SeriesBuffer
 	hub := obs.New(&buf)
-	sampleRun(t, hub, 8*sim.Millisecond)
+	sampleRun(t, hub, 8*sim.Millisecond, "")
 
 	spec := machine.IntelXeon6130(2)
 	nCores := spec.Topo.NumCores()
@@ -150,7 +158,7 @@ func TestSamplerGaugeStream(t *testing.T) {
 func TestSamplerIntervalRounding(t *testing.T) {
 	count := func(every sim.Duration) int {
 		var buf obs.SeriesBuffer
-		sampleRun(t, obs.New(&buf), every)
+		sampleRun(t, obs.New(&buf), every, "")
 		return len(buf.Nests) // one per batch
 	}
 	everyTick := count(sim.Millisecond) // < one tick: clamps to every tick
@@ -160,5 +168,51 @@ func TestSamplerIntervalRounding(t *testing.T) {
 	}
 	if everyTick < 3*sparse {
 		t.Fatalf("sub-tick interval (%d batches) should sample ~4x denser than 16ms (%d)", everyTick, sparse)
+	}
+}
+
+// TestSamplerGaugeStreamHotplug pins the sampler's offline behaviour:
+// batches stay full while a core is unplugged, the core reads "offline"
+// inside the window, and its socket's Online count drops by one.
+func TestSamplerGaugeStreamHotplug(t *testing.T) {
+	const core = 5
+	from, until := 20*sim.Millisecond, 60*sim.Millisecond
+	var buf obs.SeriesBuffer
+	sampleRun(t, obs.New(&buf), sim.Tick, "off:c5@20ms+40ms")
+
+	spec := machine.IntelXeon6130(2)
+	nCores := spec.Topo.NumCores()
+	if len(buf.Cores)%nCores != 0 {
+		t.Fatalf("%d core gauges is not a whole number of %d-core batches", len(buf.Cores), nCores)
+	}
+	// The window's edges are skipped: a tick at the same instant as the
+	// hotplug action may sample either side of it.
+	inside := func(at sim.Time) bool { return at > from && at < until }
+	seen := 0
+	for _, g := range buf.Cores {
+		if g.Core != core || !inside(g.T) {
+			continue
+		}
+		seen++
+		if g.State != "offline" {
+			t.Fatalf("core %d at %v: state %q inside its offline window", core, g.T, g.State)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no gauge sampled inside the offline window")
+	}
+	sock := spec.Topo.Socket(core)
+	full := len(spec.Topo.SocketCores(sock))
+	for _, g := range buf.Sockets {
+		if g.T == from || g.T == until {
+			continue
+		}
+		want := full
+		if g.Socket == sock && inside(g.T) {
+			want = full - 1
+		}
+		if g.Online != want {
+			t.Fatalf("socket %d at %v: online=%d, want %d", g.Socket, g.T, g.Online, want)
+		}
 	}
 }

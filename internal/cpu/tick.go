@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"repro/internal/machine"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/proc"
 	"repro/internal/sim"
@@ -19,7 +18,6 @@ func (m *Machine) tick() {
 	m.underloadPass(now)
 	m.balancePass()
 	m.refreshSocketLoads(now)
-	m.samplePass(now)
 	m.gaugePass(now)
 
 	if m.liveTasks > 0 {
@@ -163,7 +161,6 @@ func (m *Machine) energyPass() {
 	// small fraction of real work at the same frequency.
 	const spinDynFactor = 0.15
 	tickSec := sim.Tick.Seconds()
-	var totalW float64
 	for s := 0; s < m.topo.NumSockets(); s++ {
 		p := m.spec.IdleSocketW
 		if m.sockMaxF[s] > 0 {
@@ -181,40 +178,7 @@ func (m *Machine) energyPass() {
 			}
 		}
 		m.res.EnergyJ += p * tickSec
-		totalW += p
 	}
-	m.lastTickPowerW = totalW
-}
-
-// samplePass feeds the optional time-series collector.
-func (m *Machine) samplePass(now sim.Time) {
-	if m.cfg.Series == nil {
-		return
-	}
-	busy, spin := 0, 0
-	var freqSum float64
-	for i := range m.cores {
-		cs := &m.cores[i]
-		switch {
-		case cs.cur != nil:
-			busy++
-			freqSum += float64(m.fm.Cur(cs.id))
-		case cs.spinUntil > now:
-			spin++
-		}
-	}
-	mean := 0.0
-	if busy > 0 {
-		mean = freqSum / float64(busy)
-	}
-	m.cfg.Series.Add(metrics.TickSample{
-		Time:        now,
-		Runnable:    m.curRunnable,
-		BusyCores:   busy,
-		SpinCores:   spin,
-		MeanBusyMHz: mean,
-		PowerW:      m.lastTickPowerW,
-	})
 }
 
 // gaugePass emits the periodic gauge batch (Config.SampleEvery) through

@@ -41,12 +41,12 @@ func DecodeResult(raw json.RawMessage) (*metrics.Result, error) {
 // (Stats, invariant-violation counts), not just side channels.
 //
 // ok is false for cells without a stable identity: an explicit machine
-// Spec (no canonical name), or attached Trace/Series/Timeline streams
+// Spec (no canonical name), or attached Trace/Timeline streams
 // (their output goes elsewhere, so replaying the Result alone would
 // silently skip the side effects the caller asked for). Such cells
 // always run.
 func CellKey(rs RunSpec) (string, bool) {
-	if rs.Spec != nil || rs.Trace != nil || rs.Series != nil || rs.Timeline != nil {
+	if rs.Spec != nil || rs.Trace != nil || rs.Timeline != nil {
 		return "", false
 	}
 	plan, err := fault.Parse(rs.Faults)

@@ -413,7 +413,7 @@ func RepeatSpecs(rs RunSpec, n int) []RunSpec {
 		r := rs
 		r.Seed = rs.Seed + uint64(i)
 		if i > 0 {
-			r.Trace, r.Series, r.Timeline, r.Obs, r.Check = nil, nil, nil, nil, nil
+			r.Trace, r.Timeline, r.Obs, r.Check = nil, nil, nil, nil
 			r.SampleEvery = 0
 		}
 		specs[i] = r

@@ -125,7 +125,6 @@ type RunSpec struct {
 	Scale     float64
 	Seed      uint64
 	Trace     *metrics.Trace
-	Series    *metrics.TimeSeries
 	Timeline  *metrics.Timeline
 	// Obs, when non-nil, receives decision events and counters from every
 	// layer of the run (see internal/obs and docs/OBSERVABILITY.md).
@@ -234,7 +233,6 @@ func RunOnSpec(spec *machine.Spec, rs RunSpec) (*metrics.Result, error) {
 		Engine:      eng,
 		Seed:        rs.Seed,
 		Trace:       rs.Trace,
-		Series:      rs.Series,
 		Timeline:    rs.Timeline,
 		Obs:         rs.Obs,
 		SampleEvery: rs.SampleEvery,

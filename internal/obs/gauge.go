@@ -7,9 +7,10 @@ import (
 // ---- Gauge events ----------------------------------------------------
 //
 // The periodic sampler (internal/cpu, Config.SampleEvery) emits one
-// batch of gauges per sample instant: a CoreGauge per online core in
-// ascending core order, one NestGauge when the scheduler exposes nest
-// sizes, and a SocketGauge per socket in ascending socket order. The
+// batch of gauges per sample instant: a CoreGauge for every core in
+// ascending core order (state "offline" while a core is unplugged), one
+// NestGauge when the scheduler exposes nest sizes, and a SocketGauge per
+// socket in ascending socket order. The
 // batches ride the ordinary event stream, so -events files interleave
 // them with decisions and a -series file can carry them alone.
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // bucket colours, low frequency (cold blue) to high (hot red), matching
@@ -208,45 +209,58 @@ func Bars(w io.Writer, title string, seriesNames []string, groups []BarGroup) {
 	footer(w)
 }
 
-// TimeSeries renders machine-wide samples: busy cores and mean busy
-// frequency over time, two stacked panels.
-func TimeSeries(w io.Writer, title string, ts *metrics.TimeSeries, maxMHz float64) {
+// TimeSeries renders the periodic core gauges as two stacked panels:
+// busy cores and mean busy frequency over time. Gauges sharing a
+// timestamp form one sample, so a stream sampled every tick plots one
+// point per tick.
+func TimeSeries(w io.Writer, title string, gauges []obs.CoreGauge, maxMHz float64) {
 	const (
 		left = 50
 		top  = 30
 		hPer = 90
 		ptW  = 2
 	)
-	n := len(ts.Samples)
+	var busy, mhz []float64
+	maxBusy := 1
+	for i := 0; i < len(gauges); {
+		n, sum := 0, 0.0
+		j := i
+		for ; j < len(gauges) && gauges[j].T == gauges[i].T; j++ {
+			if gauges[j].State == "busy" {
+				n++
+				sum += float64(gauges[j].FreqMHz)
+			}
+		}
+		mean := 0.0
+		if n > 0 {
+			mean = sum / float64(n)
+		}
+		busy = append(busy, float64(n))
+		mhz = append(mhz, mean)
+		maxBusy = max(maxBusy, n)
+		i = j
+	}
+	n := len(busy)
 	if n == 0 {
 		header(w, 400, 60, title+" (no samples)")
 		footer(w)
 		return
 	}
-	maxBusy := 1
-	for _, s := range ts.Samples {
-		if s.BusyCores > maxBusy {
-			maxBusy = s.BusyCores
-		}
-	}
 	width := left + n*ptW + 20
 	height := top + 2*hPer + 50
 	header(w, width, height, title)
 
-	panel := func(y0 int, label string, get func(metrics.TickSample) float64, max float64, col string) {
+	panel := func(y0 int, label string, vals []float64, max float64, col string) {
 		fmt.Fprintf(w, `<text x="4" y="%d" font-family="monospace" font-size="9">%s</text>`+"\n", y0+10, escape(label))
 		fmt.Fprintf(w, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n", left, y0+hPer, left+n*ptW, y0+hPer)
 		var pts []string
-		for i, s := range ts.Samples {
-			v := get(s)
+		for i, v := range vals {
 			y := y0 + hPer - int(v/max*float64(hPer-10))
 			pts = append(pts, fmt.Sprintf("%d,%d", left+i*ptW, y))
 		}
 		fmt.Fprintf(w, `<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>`+"\n", col, strings.Join(pts, " "))
 	}
-	panel(top, fmt.Sprintf("busy cores (max %d)", maxBusy),
-		func(s metrics.TickSample) float64 { return float64(s.BusyCores) }, float64(maxBusy), "#3b4cc0")
-	panel(top+hPer+20, fmt.Sprintf("mean busy MHz (max %.0f)", maxMHz),
-		func(s metrics.TickSample) float64 { return s.MeanBusyMHz }, maxMHz, "#b40426")
+	panel(top, fmt.Sprintf("busy cores (max %d)", maxBusy), busy, float64(maxBusy), "#3b4cc0")
+	panel(top+hPer+20, fmt.Sprintf("mean busy MHz (max %.0f)", maxMHz), mhz, maxMHz, "#b40426")
 	footer(w)
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -80,20 +81,34 @@ func TestBars(t *testing.T) {
 }
 
 func TestTimeSeries(t *testing.T) {
-	ts := metrics.NewTimeSeries(1)
+	var gauges []obs.CoreGauge
 	for i := 0; i < 20; i++ {
-		ts.Add(metrics.TickSample{
-			Time: sim.Time(i) * sim.Tick, Runnable: i % 5,
-			BusyCores: i % 7, MeanBusyMHz: 2000 + 50*float64(i), PowerW: 80,
-		})
+		for c := 0; c < 8; c++ {
+			state := "idle"
+			if c < i%7 {
+				state = "busy"
+			}
+			gauges = append(gauges, obs.CoreGauge{
+				T: sim.Time(i) * sim.Tick, Core: c, State: state, FreqMHz: 2000 + 50*i,
+			})
+		}
 	}
 	var b strings.Builder
-	TimeSeries(&b, "ts", ts, 3900)
-	wellFormed(t, b.String(), "svg", "polyline")
+	TimeSeries(&b, "ts", gauges, 3900)
+	out := b.String()
+	wellFormed(t, out, "svg", "polyline")
+	if !strings.Contains(out, "busy cores (max 6)") {
+		t.Fatalf("busy count not taken per timestamp:\n%s", out)
+	}
+	// One point per timestamp, not per gauge.
+	first := out[strings.Index(out, `points="`)+len(`points="`):]
+	if pts := strings.Fields(first[:strings.IndexByte(first, '"')]); len(pts) != 20 {
+		t.Fatalf("%d points, want one per timestamp (20)", len(pts))
+	}
 }
 
 func TestTimeSeriesEmpty(t *testing.T) {
 	var b strings.Builder
-	TimeSeries(&b, "ts", metrics.NewTimeSeries(1), 3900)
+	TimeSeries(&b, "ts", nil, 3900)
 	wellFormed(t, b.String(), "svg")
 }
