@@ -24,38 +24,30 @@ import (
 	"repro/internal/sim"
 )
 
-// Config tunes the CFS model.
-type Config struct {
-	// NUMAImbalance is the number of runnable tasks' worth of load a
+// Linux v5.9 CFS parameters.
+const (
+	// numaImbalance is the number of runnable tasks' worth of load a
 	// socket may exceed the idlest socket by before fork spills to it,
 	// modelling the kernel's allowed NUMA imbalance.
-	NUMAImbalance float64
-	// ScanLimit bounds the wakeup search for an idle core on the die
+	numaImbalance float64 = 2.0
+	// scanLimit bounds the wakeup search for an idle core on the die
 	// after the fully-idle-physical-core scan fails.
-	ScanLimit int
-	// FixedCost is the base placement cost charged per selection.
-	FixedCost sim.Duration
+	scanLimit int = 6
+	// fixedCost is the base placement cost charged per selection.
+	fixedCost sim.Duration = 300 * sim.Nanosecond
+)
+
+// Config selects the two behaviours in which Nest's fallback differs
+// from plain CFS. The zero Config is Linux v5.9 CFS.
+type Config struct {
 	// WorkConservingWakeup extends the wakeup search to all dies when the
 	// target die has no idle core — Nest's §3.4 extension; off in CFS.
 	WorkConservingWakeup bool
-	// SyncAffine lets a synchronous wakeup whose waker is alone on its
-	// core pull the wakee to the waker, as wake_affine does.
-	SyncAffine bool
 	// RespectClaims makes idle checks honour the §3.4 placement flag.
 	// Plain CFS does not look at it — simultaneous placements can stack —
 	// but when this code runs as Nest's fallback the whole path checks
 	// the flag.
 	RespectClaims bool
-}
-
-// DefaultConfig returns the values matching Linux v5.9 behaviour.
-func DefaultConfig() Config {
-	return Config{
-		NUMAImbalance: 2.0,
-		ScanLimit:     6,
-		FixedCost:     300 * sim.Nanosecond,
-		SyncAffine:    true,
-	}
 }
 
 // Policy is the CFS placement policy.
@@ -84,23 +76,11 @@ func (p *Policy) markPhys(n, phys int) bool {
 	return false
 }
 
-// New returns a CFS policy with cfg (zero fields take defaults).
-func New(cfg Config) *Policy {
-	def := DefaultConfig()
-	if cfg.NUMAImbalance == 0 {
-		cfg.NUMAImbalance = def.NUMAImbalance
-	}
-	if cfg.ScanLimit == 0 {
-		cfg.ScanLimit = def.ScanLimit
-	}
-	if cfg.FixedCost == 0 {
-		cfg.FixedCost = def.FixedCost
-	}
-	return &Policy{cfg: cfg}
-}
+// New returns a CFS policy with cfg.
+func New(cfg Config) *Policy { return &Policy{cfg: cfg} }
 
 // Default returns a CFS policy with kernel-default behaviour.
-func Default() *Policy { return New(DefaultConfig()) }
+func Default() *Policy { return New(Config{}) }
 
 // Name implements sched.Policy.
 func (p *Policy) Name() string { return "cfs" }
@@ -123,7 +103,7 @@ func (p *Policy) idle(m sched.Machine, c machine.CoreID) bool {
 func (p *Policy) SelectCoreFork(m sched.Machine, parent, child *proc.Task, parentCore machine.CoreID) machine.CoreID {
 	topo := m.Topo()
 	examined := 0
-	defer func() { m.ChargeSearch(examined, p.cfg.FixedCost) }()
+	defer func() { m.ChargeSearch(examined, fixedCost) }()
 
 	// NUMA level: compare stale per-socket runnable counts. The home
 	// socket keeps the fork while its excess over the idlest socket is
@@ -134,7 +114,7 @@ func (p *Policy) SelectCoreFork(m sched.Machine, parent, child *proc.Task, paren
 	// (the paper's occasional multi-socket h2 runs, Figure 9).
 	home := topo.Socket(parentCore)
 	running := m.SocketRunning()
-	allowance := p.cfg.NUMAImbalance
+	allowance := numaImbalance
 	if q := float64(topo.PhysPerSocket()) / 8; q > allowance {
 		allowance = q
 	}
@@ -213,7 +193,7 @@ func (p *Policy) SelectCoreFork(m sched.Machine, parent, child *proc.Task, paren
 func (p *Policy) SelectCoreWakeup(m sched.Machine, t *proc.Task, wakerCore machine.CoreID, sync bool) machine.CoreID {
 	examined := 0
 	chosen, path, reason := p.wakeupChoose(m, t, wakerCore, sync, &examined)
-	m.ChargeSearch(examined, p.cfg.FixedCost)
+	m.ChargeSearch(examined, fixedCost)
 	if h := m.Obs(); h.Enabled() {
 		h.Emit(obs.PlacementDecision{
 			T: m.Now(), Sched: p.Name(), Task: int(t.ID), TaskName: t.Name,
@@ -237,8 +217,9 @@ func (p *Policy) wakeupChoose(m sched.Machine, t *proc.Task, wakerCore machine.C
 	target, targetPath := prev, "prev"
 	*examined++
 	if !p.idle(m, prev) {
-		if sync && p.cfg.SyncAffine && m.QueueLen(wakerCore) <= 1 {
-			// Synchronous handoff: the waker is about to block.
+		if sync && m.QueueLen(wakerCore) <= 1 {
+			// Synchronous handoff, as wake_affine does: a waker alone
+			// on its core is about to block, so the wakee follows it.
 			target, targetPath = wakerCore, "sync_affine"
 		} else {
 			loads := m.SocketLoads()
@@ -271,7 +252,7 @@ func (p *Policy) wakeupChoose(m sched.Machine, t *proc.Task, wakerCore machine.C
 	}
 
 	// Bounded scan for any idle core on the die.
-	limit := p.cfg.ScanLimit
+	limit := scanLimit
 	for _, c := range scan {
 		if limit == 0 {
 			break

@@ -24,39 +24,66 @@ import (
 	"repro/internal/sim"
 )
 
-// Overheads model the cost of scheduler code paths. The hackbench result
-// (§5.6) — where Nest's longer core-selection path and the
-// instruction-cache misses of stacking many tasks on few cores cause a
-// slowdown — flows entirely from these.
-type Overheads struct {
-	// PlacementLatency is the select-to-enqueue delay during which the
+// Scheduler code-path costs, in the range measured on real servers. The
+// hackbench result (§5.6) — where Nest's longer core-selection path and
+// the instruction-cache misses of stacking many tasks on few cores cause
+// a slowdown — flows entirely from these.
+const (
+	// placementLatency is the select-to-enqueue delay during which the
 	// destination's placement flag protects against collisions.
-	PlacementLatency sim.Duration
-	// PerCoreSearch is charged per core examined during placement.
-	PerCoreSearch sim.Duration
-	// CtxSwitch is the warm context-switch cost.
-	CtxSwitch sim.Duration
-	// ColdSwitch is the extra cost when the incoming task's working set
+	placementLatency sim.Duration = 1500 * sim.Nanosecond
+	// perCoreSearch is charged per core examined during placement.
+	perCoreSearch sim.Duration = 40 * sim.Nanosecond
+	// ctxSwitch is the warm context-switch cost.
+	ctxSwitch sim.Duration = 1200 * sim.Nanosecond
+	// coldSwitch is the extra cost when the incoming task's working set
 	// is no longer in the instruction cache.
-	ColdSwitch sim.Duration
-	// Fork is charged to the parent for each fork.
-	Fork sim.Duration
-	// Migration is charged to a task scheduled in on a different core
+	coldSwitch sim.Duration = 3500 * sim.Nanosecond
+	// forkCost is charged to the parent for each fork.
+	forkCost sim.Duration = 25 * sim.Microsecond
+	// migrationCost is charged to a task scheduled in on a different core
 	// than its last one.
-	Migration sim.Duration
-}
+	migrationCost sim.Duration = 2 * sim.Microsecond
+)
 
-// DefaultOverheads returns costs in the range measured on real servers.
-func DefaultOverheads() Overheads {
-	return Overheads{
-		PlacementLatency: 1500 * sim.Nanosecond,
-		PerCoreSearch:    40 * sim.Nanosecond,
-		CtxSwitch:        1200 * sim.Nanosecond,
-		ColdSwitch:       3500 * sim.Nanosecond,
-		Fork:             25 * sim.Microsecond,
-		Migration:        2 * sim.Microsecond,
-	}
-}
+// Model parameters of the runtime and the hardware it drives.
+const (
+	// timeSlice is the preemption quantum checked at each tick.
+	timeSlice sim.Duration = 6 * sim.Millisecond
+
+	// activeWindow is the lookback the hardware uses to count a socket's
+	// active cores for the turbo budget. Tasks bouncing across many
+	// cores keep them all "recently active", lowering every core's cap —
+	// the mechanism that punishes CFS's dispersal even when only a
+	// couple of tasks run at any instant.
+	activeWindow sim.Duration = 20 * sim.Millisecond
+
+	// balanceEvery is the idle-balance period in ticks per core.
+	balanceEvery int = 2
+
+	// spinUtilSpeedShift / spinUtilSpeedStep are the activity levels the
+	// hardware credits an idle-spinning core with. On Speed Shift parts
+	// the spin keeps the core looking fully busy; the Broadwell
+	// estimator discounts it — §5.3: "Even Nest's spinning is not
+	// sufficient to defeat this tendency" on the E7-8870 v4.
+	spinUtilSpeedShift float64 = 1.0
+	spinUtilSpeedStep  float64 = 0.35
+
+	// newTaskUtil seeds a forked task's utilisation, mirroring the
+	// kernel's post_init_entity_util_avg.
+	newTaskUtil float64 = 0.55
+
+	// smtFactor is each hardware thread's throughput when its sibling is
+	// also busy (two threads share one physical core's pipeline).
+	smtFactor float64 = 0.62
+
+	// deepIdleAfter is how long a core idles before entering a deep
+	// C-state; deepIdleExit is the wake latency it then pays before the
+	// placed task starts. The fork path's "expected time to wake from
+	// idle states" consideration (§2.1) keys off this.
+	deepIdleAfter sim.Duration = 5 * sim.Millisecond
+	deepIdleExit  sim.Duration = 60 * sim.Microsecond
+)
 
 // Config assembles one run.
 type Config struct {
@@ -64,45 +91,6 @@ type Config struct {
 	Gov    governor.Governor
 	Policy sched.Policy
 	Seed   uint64
-
-	// Overheads default to DefaultOverheads when zero.
-	Overheads *Overheads
-
-	// TimeSlice is the preemption quantum checked at each tick.
-	TimeSlice sim.Duration
-
-	// ActiveWindow is the lookback the hardware uses to count a socket's
-	// active cores for the turbo budget. Tasks bouncing across many
-	// cores keep them all "recently active", lowering every core's cap —
-	// the mechanism that punishes CFS's dispersal even when only a
-	// couple of tasks run at any instant.
-	ActiveWindow sim.Duration
-
-	// BalanceEvery is the idle-balance period in ticks per core.
-	BalanceEvery int
-
-	// SpinUtilSpeedShift / SpinUtilSpeedStep are the activity levels the
-	// hardware credits an idle-spinning core with. On Speed Shift parts
-	// the spin keeps the core looking fully busy; the Broadwell
-	// estimator discounts it — §5.3: "Even Nest's spinning is not
-	// sufficient to defeat this tendency" on the E7-8870 v4.
-	SpinUtilSpeedShift float64
-	SpinUtilSpeedStep  float64
-
-	// NewTaskUtil seeds a forked task's utilisation, mirroring the
-	// kernel's post_init_entity_util_avg.
-	NewTaskUtil float64
-
-	// SMTFactor is each hardware thread's throughput when its sibling is
-	// also busy (two threads share one physical core's pipeline).
-	SMTFactor float64
-
-	// DeepIdleAfter is how long a core idles before entering a deep
-	// C-state; DeepIdleExit is the wake latency it then pays before the
-	// placed task starts. The fork path's "expected time to wake from
-	// idle states" consideration (§2.1) keys off this.
-	DeepIdleAfter sim.Duration
-	DeepIdleExit  sim.Duration
 
 	// Trace, when non-nil, collects per-tick activity inside its window.
 	Trace *metrics.Trace
@@ -135,44 +123,6 @@ type Config struct {
 	// invariants of internal/invariant. It costs a full machine sweep
 	// per event; nil keeps the run on the fast path.
 	Check *invariant.Checker
-
-	// OnTaskExit, when non-nil, observes every task exit (for workload
-	// request-latency accounting).
-	OnTaskExit func(*proc.Task)
-}
-
-func (c *Config) fillDefaults() {
-	if c.Overheads == nil {
-		o := DefaultOverheads()
-		c.Overheads = &o
-	}
-	if c.TimeSlice == 0 {
-		c.TimeSlice = 6 * sim.Millisecond
-	}
-	if c.ActiveWindow == 0 {
-		c.ActiveWindow = 20 * sim.Millisecond
-	}
-	if c.BalanceEvery == 0 {
-		c.BalanceEvery = 2
-	}
-	if c.SpinUtilSpeedShift == 0 {
-		c.SpinUtilSpeedShift = 1.0
-	}
-	if c.SpinUtilSpeedStep == 0 {
-		c.SpinUtilSpeedStep = 0.35
-	}
-	if c.NewTaskUtil == 0 {
-		c.NewTaskUtil = 0.55
-	}
-	if c.SMTFactor == 0 {
-		c.SMTFactor = 0.62
-	}
-	if c.DeepIdleAfter == 0 {
-		c.DeepIdleAfter = 5 * sim.Millisecond
-	}
-	if c.DeepIdleExit == 0 {
-		c.DeepIdleExit = 60 * sim.Microsecond
-	}
 }
 
 // coreState is the runtime state of one hardware thread.
@@ -323,11 +273,14 @@ type Machine struct {
 	// counts placements between core selection and enqueue per task.
 	tasks    []*proc.Task
 	inFlight map[proc.TaskID]int
+
+	// onTaskExit, when non-nil, observes every task exit (for workload
+	// request-latency accounting); OnExit chains observers onto it.
+	onTaskExit func(*proc.Task)
 }
 
 // New builds a machine from cfg.
 func New(cfg Config) *Machine {
-	cfg.fillDefaults()
 	if cfg.Spec == nil || cfg.Gov == nil || cfg.Policy == nil {
 		panic("cpu: Config needs Spec, Gov and Policy")
 	}
@@ -428,8 +381,8 @@ func (m *Machine) Checker() *invariant.Checker { return m.cfg.Check }
 // OnExit registers an additional task-exit observer (multi-application
 // workloads use it to record per-application completion times).
 func (m *Machine) OnExit(fn func(*proc.Task)) {
-	prev := m.cfg.OnTaskExit
-	m.cfg.OnTaskExit = func(t *proc.Task) {
+	prev := m.onTaskExit
+	m.onTaskExit = func(t *proc.Task) {
 		if prev != nil {
 			prev(t)
 		}
@@ -463,7 +416,7 @@ func (m *Machine) newTask(name string, b proc.Behavior, parent *proc.Task) *proc
 	// A forked task inherits its parent's utilisation, as the kernel's
 	// post_init_entity_util_avg seeds new tasks from the runqueue: the
 	// children of a busy shell immediately look busy to schedutil.
-	seed := m.cfg.NewTaskUtil
+	seed := newTaskUtil
 	if parent != nil {
 		if pu := parent.Util.Value(m.eng.Now()); pu > seed {
 			seed = pu

@@ -398,25 +398,32 @@ func TestExecReplacesTask(t *testing.T) {
 }
 
 func TestDeepIdleExitLatency(t *testing.T) {
-	// A placement onto a long-idle core pays the C-state exit latency:
-	// disabling it must shorten the run by roughly that latency.
+	// A placement onto a core idle for at least deepIdleAfter pays the
+	// C-state exit latency: the wakeup after a long sleep must reach the
+	// core at least deepIdleExit later than the wakeup after a short one.
 	spec := machine.IntelXeon6130(2)
-	run := func(exit sim.Duration) sim.Time {
-		m := New(Config{
-			Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(),
-			Seed: 1, DeepIdleExit: exit,
-		})
+	wakeDelay := func(sleep sim.Duration) sim.Duration {
+		tl := metrics.NewTimeline(0)
+		m := New(Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 1, Timeline: tl})
 		work := proc.Cycles(500*sim.Microsecond, spec.Nominal)
 		m.Spawn("w", proc.Script(
 			proc.Compute{Cycles: work},
-			proc.Sleep{D: 20 * sim.Millisecond}, // deep idle entered
+			proc.Sleep{D: sleep},
 			proc.Compute{Cycles: work},
 		))
-		return m.Run(sim.Second).Runtime
+		m.Run(sim.Second)
+		if len(tl.Slices) != 2 {
+			t.Fatalf("sleep %v: %d slices, want 2", sleep, len(tl.Slices))
+		}
+		// Time from the sleep's expiry to the task running again.
+		return tl.Slices[1].Start - tl.Slices[0].End - sleep
 	}
-	fast := run(sim.Nanosecond) // effectively off (0 means default)
-	slow := run(200 * sim.Microsecond)
-	if slow-fast < 150*sim.Microsecond {
-		t.Fatalf("deep-idle exit not charged: %v vs %v", slow, fast)
+	short := wakeDelay(sim.Millisecond) // below deepIdleAfter
+	long := wakeDelay(20 * sim.Millisecond)
+	if short >= deepIdleExit {
+		t.Fatalf("short sleep paid the exit latency: %v", short)
+	}
+	if long-short < deepIdleExit {
+		t.Fatalf("deep-idle exit not charged: %v after 20ms vs %v after 1ms, want a gap >= %v", long, short, deepIdleExit)
 	}
 }

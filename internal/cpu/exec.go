@@ -38,7 +38,7 @@ func (m *Machine) placeFork(parent *proc.Task, parentCore machine.CoreID, child 
 	cost := m.takePendingSearch()
 	m.res.Counters.Forks++
 	if parent != nil {
-		m.chargeCycles(parent, parentCore, cost+m.cfg.Overheads.Fork)
+		m.chargeCycles(parent, parentCore, cost+forkCost)
 	}
 	m.dispatch(child, target)
 }
@@ -62,13 +62,13 @@ func (m *Machine) dispatch(t *proc.Task, target machine.CoreID) {
 		m.res.Counters.Collisions++
 	}
 	cs.claimed = true
-	delay := m.cfg.Overheads.PlacementLatency
+	delay := placementLatency
 	// A core in a deep C-state pays its exit latency before the task
 	// can start (spinning cores never enter one — part of the point of
 	// keeping the nest warm).
 	if cs.cur == nil && cs.spinUntil <= m.eng.Now() &&
-		m.eng.Now()-cs.idleSince >= m.cfg.DeepIdleAfter {
-		delay += m.cfg.DeepIdleExit
+		m.eng.Now()-cs.idleSince >= deepIdleAfter {
+		delay += deepIdleExit
 	}
 	if m.inFlight != nil {
 		m.inFlight[t.ID]++
@@ -149,15 +149,15 @@ func (m *Machine) scheduleIn(c machine.CoreID) {
 	// Context-switch accounting, with the instruction-cache model: a task
 	// outside the core's recent-task ring pays the cold penalty.
 	m.res.Counters.CtxSwitches++
-	switchCost := m.cfg.Overheads.CtxSwitch
+	switchCost := ctxSwitch
 	if !cs.icacheHas(t.ID) {
-		switchCost += m.cfg.Overheads.ColdSwitch
+		switchCost += coldSwitch
 		m.res.Counters.ColdSwitches++
 	}
 	cs.icachePush(t.ID)
 	if t.Last != proc.NoCore && t.Last != c {
 		m.res.Counters.Migrations++
-		switchCost += m.cfg.Overheads.Migration
+		switchCost += migrationCost
 		if h := m.obs; h.Enabled() {
 			h.Emit(obs.Migration{
 				T: now, Task: int(t.ID), TaskName: t.Name,
@@ -216,7 +216,7 @@ func (m *Machine) effMHz(c machine.CoreID) machine.FreqMHz {
 	f := m.fm.Cur(c)
 	sib := m.sibOf[c]
 	if sib != c && m.cores[sib].cur != nil {
-		f = machine.FreqMHz(float64(f) * m.cfg.SMTFactor)
+		f = machine.FreqMHz(float64(f) * smtFactor)
 	}
 	return f
 }
@@ -398,8 +398,8 @@ func (m *Machine) exit(t *proc.Task, c machine.CoreID) {
 	m.siblingSpeedChange(c)
 	coreIdle := len(cs.queue) == 0
 	m.policy.Exited(m, t, c, coreIdle)
-	if m.cfg.OnTaskExit != nil {
-		m.cfg.OnTaskExit(t)
+	if m.onTaskExit != nil {
+		m.onTaskExit(t)
 	}
 
 	if p := t.Parent; p != nil {
@@ -470,9 +470,9 @@ func (m *Machine) pickNext(c machine.CoreID) {
 	}
 	cs.idleSince = now
 	if d := m.policy.IdleSpin(m, c); d > 0 {
-		lv := m.cfg.SpinUtilSpeedShift
+		lv := spinUtilSpeedShift
 		if m.spec.Ramp == machine.SpeedStep {
-			lv = m.cfg.SpinUtilSpeedStep
+			lv = spinUtilSpeedStep
 		}
 		// The hardware cannot tell the spin loop from real work (on
 		// SpeedStep its estimator discounts it; same level used).

@@ -99,7 +99,7 @@ func (m *Machine) SocketRunning() []int {
 
 // ChargeSearch implements sched.Machine.
 func (m *Machine) ChargeSearch(examined int, fixed sim.Duration) {
-	m.pendingSearch += sim.Duration(examined)*m.cfg.Overheads.PerCoreSearch + fixed
+	m.pendingSearch += sim.Duration(examined)*perCoreSearch + fixed
 	m.res.Counters.CoresExamined += int64(examined)
 }
 

@@ -40,7 +40,7 @@ func (m *Machine) preemptPass(now sim.Time) {
 		if cs.cur == nil || len(cs.queue) == 0 {
 			continue
 		}
-		if now-cs.curStart < m.cfg.TimeSlice {
+		if now-cs.curStart < timeSlice {
 			continue
 		}
 		t := cs.cur
@@ -62,7 +62,7 @@ func (m *Machine) preemptPass(now sim.Time) {
 // activePhysOnSocket counts physical cores on socket s that were active
 // within the hardware's lookback window — the basis of the turbo budget.
 func (m *Machine) activePhysOnSocket(s int, now sim.Time) int {
-	horizon := now - m.cfg.ActiveWindow
+	horizon := now - activeWindow
 	count := 0
 	for _, c := range m.physReps[s] {
 		cs := &m.cores[c]
@@ -85,7 +85,7 @@ func (m *Machine) activePhysOnSocket(s int, now sim.Time) int {
 func (m *Machine) freqAndAccountingPass(now sim.Time) {
 	// Refresh activity stamps, then count recently active physical cores
 	// per socket for the turbo budget.
-	horizon := now - m.cfg.ActiveWindow
+	horizon := now - activeWindow
 	for i := range m.physActive {
 		m.physActive[i] = false
 	}
@@ -280,7 +280,7 @@ func (m *Machine) balancePass() {
 		if cs.offline || cs.cur != nil || len(cs.queue) > 0 || cs.claimed {
 			continue
 		}
-		if (m.tickIndex+i)%m.cfg.BalanceEvery != 0 {
+		if (m.tickIndex+i)%balanceEvery != 0 {
 			continue
 		}
 		victim := m.findBusiest(cs.id)

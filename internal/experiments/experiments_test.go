@@ -32,9 +32,9 @@ func TestSchedulerFactories(t *testing.T) {
 }
 
 func TestNestVariantParsing(t *testing.T) {
-	cfg, ok := NestVariant("nest:nospin,premove=4,rmax=10,smax=1,rimpatient=7,noattach")
-	if !ok {
-		t.Fatal("variant rejected")
+	cfg, err := NestVariant("nest:nospin,premove=4,rmax=10,smax=1,rimpatient=7,noattach")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !cfg.DisableSpin || !cfg.DisableAttach {
 		t.Fatal("toggles not applied")
@@ -45,8 +45,40 @@ func TestNestVariantParsing(t *testing.T) {
 	if cfg.RMax != 10 || cfg.RImpatient != 7 {
 		t.Fatalf("count params wrong: rmax=%d rimpatient=%d", cfg.RMax, cfg.RImpatient)
 	}
-	if _, ok := NestVariant("cfs"); ok {
+	if _, err := NestVariant("cfs"); err == nil {
 		t.Fatal("non-nest name parsed as variant")
+	}
+}
+
+// TestNestVariantRejectsNonPositive: a zero or negative override would
+// silently run the Table 1 default (nest.New fills zero parameters), so
+// it is rejected with the toggle that really disables the feature.
+func TestNestVariantRejectsNonPositive(t *testing.T) {
+	cases := []struct{ name, toggle string }{
+		{"nest:premove=0", "nocompact"},
+		{"nest:smax=0", "nospin"},
+		{"nest:rmax=0", "noreserve"},
+		{"nest:rimpatient=0", "noimpatience"},
+		{"nest:smax=-1", "nospin"},
+		{"nest:noattach,rmax=-3", "noreserve"},
+	}
+	for _, c := range cases {
+		_, err := NestVariant(c.name)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "nest:"+c.toggle) {
+			t.Errorf("%s: error %q does not name nest:%s", c.name, err, c.toggle)
+		}
+		if _, err := Schedulers(c.name); err == nil {
+			t.Errorf("%s: accepted by Schedulers", c.name)
+		}
+	}
+	for _, bad := range []string{"nest:smax=", "nest:smax=x", "nest:bogus=1", "nest:smax"} {
+		if _, err := NestVariant(bad); err == nil {
+			t.Errorf("%s: accepted", bad)
+		}
 	}
 }
 

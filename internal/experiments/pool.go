@@ -41,8 +41,8 @@ type PoolOptions struct {
 	CellTimeout time.Duration
 	// Journal, when non-nil, durably records each completed cell's
 	// encoded result (checkpoint journal). Cells without a stable
-	// identity (explicit Spec, attached Trace/Series/Timeline) are run
-	// but not journaled.
+	// identity (explicit Spec, attached Trace/Timeline) are run but not
+	// journaled.
 	Journal *checkpoint.Journal
 	// Done maps cell keys (CellKey) to previously journaled results;
 	// matching cells are skipped and their results decoded instead of

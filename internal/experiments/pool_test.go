@@ -209,7 +209,7 @@ func TestRunRepeatsParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunRepeatsParallel(rs, 4, 4)
+	parallel, err := RunRepeatsOpts(rs, 4, PoolOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/cfs"
 	nest "repro/internal/core"
@@ -38,17 +40,17 @@ func Schedulers(name string) (SchedulerFactory, error) {
 	case "cfs:claims":
 		// §3.4: the placement-flag optimisation applied to CFS alone,
 		// the counterfactual the paper suggests evaluating.
-		return func() sched.Policy {
-			cfg := cfs.DefaultConfig()
-			cfg.RespectClaims = true
-			return cfs.New(cfg)
-		}, nil
+		return func() sched.Policy { return cfs.New(cfs.Config{RespectClaims: true}) }, nil
 	case "random":
 		return func() sched.Policy { return naive.NewRandom() }, nil
 	case "sticky":
 		return func() sched.Policy { return naive.NewSticky() }, nil
 	}
-	if cfg, ok := NestVariant(name); ok {
+	if strings.HasPrefix(name, "nest:") {
+		cfg, err := NestVariant(name)
+		if err != nil {
+			return nil, err
+		}
 		return func() sched.Policy { return nest.New(cfg) }, nil
 	}
 	return nil, fmt.Errorf("experiments: unknown scheduler %q", name)
@@ -57,13 +59,15 @@ func Schedulers(name string) (SchedulerFactory, error) {
 // NestVariant parses "nest:flag[,flag...]" ablation names. Flags:
 // noreserve, nocompact, nospin, noattach, nowc, noimpatience, noclaim,
 // and parameter overrides premove=<ticks>, smax=<ticks>, rmax=<n>,
-// rimpatient=<n>.
-func NestVariant(name string) (nest.Config, bool) {
+// rimpatient=<n>. An override must be positive: zero would silently
+// select the Table 1 default, so the error names the toggle that turns
+// the feature off instead.
+func NestVariant(name string) (nest.Config, error) {
 	cfg := nest.DefaultConfig()
-	if len(name) < 6 || name[:5] != "nest:" {
-		return cfg, false
+	rest, ok := strings.CutPrefix(name, "nest:")
+	if !ok {
+		return cfg, fmt.Errorf("experiments: %q is not a nest variant", name)
 	}
-	rest := name[5:]
 	for _, f := range splitComma(rest) {
 		switch {
 		case f == "noreserve":
@@ -81,21 +85,37 @@ func NestVariant(name string) (nest.Config, bool) {
 		case f == "noclaim":
 			cfg.DisableClaimCheck = true
 		default:
-			var v int
-			if n, _ := fmt.Sscanf(f, "premove=%d", &v); n == 1 {
+			param, val, _ := strings.Cut(f, "=")
+			off, known := nestOff[param]
+			v, err := strconv.Atoi(val)
+			if !known || err != nil {
+				return cfg, fmt.Errorf("experiments: unknown scheduler %q: bad flag %q", name, f)
+			}
+			if v <= 0 {
+				return cfg, fmt.Errorf("experiments: scheduler %q: %s must be positive, got %d (use nest:%s to disable the feature)", name, param, v, off)
+			}
+			switch param {
+			case "premove":
 				cfg.PRemove = sim.Duration(v) * sim.Tick
-			} else if n, _ := fmt.Sscanf(f, "smax=%d", &v); n == 1 {
+			case "smax":
 				cfg.SMax = sim.Duration(v) * sim.Tick
-			} else if n, _ := fmt.Sscanf(f, "rmax=%d", &v); n == 1 {
+			case "rmax":
 				cfg.RMax = v
-			} else if n, _ := fmt.Sscanf(f, "rimpatient=%d", &v); n == 1 {
+			case "rimpatient":
 				cfg.RImpatient = v
-			} else {
-				return cfg, false
 			}
 		}
 	}
-	return cfg, true
+	return cfg, nil
+}
+
+// nestOff maps each nest:<param>=<n> override to the toggle that
+// disables the feature the parameter tunes.
+var nestOff = map[string]string{
+	"premove":    "nocompact",
+	"smax":       "nospin",
+	"rmax":       "noreserve",
+	"rimpatient": "noimpatience",
 }
 
 func splitComma(s string) []string {
@@ -303,18 +323,11 @@ func (rs RunSpec) Validate() error {
 const DefaultScale = 0.04
 
 // RunRepeats executes n runs with consecutive seeds and returns all
-// results. Observers (Trace, Series, Timeline, Obs) are attached to the
-// first run only: they are single-run collectors, and mixing the events
-// of several seeds into one stream or trace would be unreadable.
+// results. Observers (Trace, Timeline, Obs) are attached to the first run
+// only: they are single-run collectors, and mixing the events of several
+// seeds into one stream or trace would be unreadable.
 func RunRepeats(rs RunSpec, n int) ([]*metrics.Result, error) {
-	return RunRepeatsParallel(rs, n, 1)
-}
-
-// RunRepeatsParallel is RunRepeats over the grid pool, spreading the
-// seeds across workers (<= 1 runs serially). Repeats are independent
-// simulations, so the results are byte-identical to the serial order.
-func RunRepeatsParallel(rs RunSpec, n, workers int) ([]*metrics.Result, error) {
-	return RunRepeatsOpts(rs, n, PoolOptions{Workers: workers})
+	return RunRepeatsOpts(rs, n, PoolOptions{Workers: 1})
 }
 
 // RunRepeatsOpts is RunRepeats with full pool options (watchdog budget,
