@@ -70,6 +70,10 @@ func main() {
 		memProf      = flag.String("memprofile", "", "write a pprof allocation profile to this file at exit")
 	)
 	flag.Parse()
+	if err := checkFlagParents(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, "nestsim:", err)
+		os.Exit(2)
+	}
 
 	profStop, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -106,10 +110,6 @@ func main() {
 		}
 	}
 
-	if *hedgeStr != "" && *fanoutStr == "" {
-		fmt.Fprintln(os.Stderr, "nestsim: -hedge needs -fanout")
-		os.Exit(2)
-	}
 	if *fanoutStr != "" {
 		const name = "fanout/custom"
 		if err := workload.RegisterFanoutWorkload(name, *fanoutStr, *hedgeStr, *fanoutLoad); err != nil {
@@ -324,6 +324,28 @@ func runMain(rs experiments.RunSpec, runs, workers int, cellTO time.Duration, ch
 	}
 	if rs.Check != nil && rs.Check.Total() > 0 {
 		return fmt.Errorf("%d invariant violations detected", rs.Check.Total())
+	}
+	return nil
+}
+
+// flagParents maps each flag that only qualifies another flag to that
+// parent flag.
+var flagParents = []struct{ flag, parent string }{
+	{"admission", "arrival-trace"},
+	{"hedge", "fanout"},
+	{"fanout-load", "fanout"},
+}
+
+// checkFlagParents rejects a qualifying flag set explicitly without its
+// parent: it would otherwise be ignored silently. Explicitly set is
+// what counts (fs.Visit), since some of these flags have defaults.
+func checkFlagParents(fs *flag.FlagSet) error {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, d := range flagParents {
+		if set[d.flag] && fs.Lookup(d.parent).Value.String() == "" {
+			return fmt.Errorf("-%s needs -%s", d.flag, d.parent)
+		}
 	}
 	return nil
 }

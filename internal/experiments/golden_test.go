@@ -3,10 +3,29 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"sync"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
+
+// goldenCustom registers the two user-built serving workloads the golden
+// cells run: a labelled arrival trace under token admission, and a
+// three-stage quorum fan-out (the reference preset has two stages, so the
+// arrival rate must follow the user's spec). Once per process, so the
+// test survives -count=N.
+var goldenCustom = sync.OnceValue(func() error {
+	classes := []string{"web", "kv", "", "script"}
+	entries := make([]workload.TraceEntry, 1000)
+	for i := range entries {
+		entries[i] = workload.TraceEntry{T: sim.Time(i) * 20 * sim.Time(sim.Microsecond), Class: classes[i%len(classes)]}
+	}
+	if err := workload.RegisterTraceWorkload("trace/golden", entries, "token"); err != nil {
+		return err
+	}
+	return workload.RegisterFanoutWorkload("fanout/golden-s3", "fanout:width=8,stages=3,agg=quorum:6", "hedge:after=p95", 1.1)
+})
 
 // TestResultGolden pins sha256(EncodeResult) for small cells that between
 // them reach every fixed model constant: the runtime's overheads, time
@@ -16,7 +35,10 @@ import (
 // CFS's NUMA allowance, scan limit, fixed cost and sync-affine wakeups,
 // Nest's fixed cost and its fallback toggles, Smove's thresholds and move
 // delay, the task-exit observer chain (an overload cell) and the hotplug
-// paths (a fault plan). A change that moves any digest changes the
+// paths (a fault plan). The serving cells pin every open-loop preset:
+// apache-siege's open loop and leveldb's closed loop, the overload mix
+// and diurnal curve, a fan-out grid cell, trace replay (40 base arrivals,
+// below the presets' 50-request floor) and a user fan-out spec. A change that moves any digest changes the
 // model; it must say why and re-record the digest.
 func TestResultGolden(t *testing.T) {
 	cases := []struct {
@@ -48,6 +70,21 @@ func TestResultGolden(t *testing.T) {
 		{RunSpec{Machine: "5218", Scheduler: "nest", Governor: "schedutil", Workload: "configure/llvm_ninja", Scale: 0.05, Seed: 1,
 			Faults: "off:c2@5ms+10ms,on:c2@5ms,throttle:s0@4ms+15ms=1.8GHz"},
 			"b3a35ccf49828c5fb7afb30819587e861ec1e674627536667c210dc3fb9c2b3d"},
+		{RunSpec{Machine: "6130-2", Scheduler: "nest", Governor: "schedutil", Workload: "server/apache-siege-250", Scale: 0.02, Seed: 1},
+			"3aa90b848db45225449ffa3bcc4ca13aa08664aa7a7f275ce191483332bf1ad5"},
+		{RunSpec{Machine: "6130-2", Scheduler: "cfs", Governor: "schedutil", Workload: "server/leveldb", Scale: 0.02, Seed: 1},
+			"55890b320ac5948efe116f89de58f2cfc1030cfa0cebcd104e73b8d03a95754d"},
+		{RunSpec{Machine: "6130-2", Scheduler: "nest", Governor: "schedutil", Workload: "overload/diurnal", Scale: 0.05, Seed: 1},
+			"ebee96bcc79f06f02dd9109409b7be25fdfe47cdf5f5d4a2f762bc23b841e40b"},
+		{RunSpec{Machine: "6130-2", Scheduler: "nest", Governor: "schedutil", Workload: workload.FanoutMixName(16, 0.7, "p95"), Scale: 0.05, Seed: 1},
+			"8a487634efa7e0921cee23b65433e4ed8433538a403d93192fb11177d1e7d696"},
+		{RunSpec{Machine: "6130-2", Scheduler: "cfs", Governor: "schedutil", Workload: "trace/golden", Scale: 0.04, Seed: 1},
+			"20080f7320815d2d7391525fe6ac096e69fe0ec0f766a008bc0b20e5c5fb8692"},
+		{RunSpec{Machine: "6130-2", Scheduler: "nest", Governor: "schedutil", Workload: "fanout/golden-s3", Scale: 0.02, Seed: 1},
+			"d5cf1b82b58e18b23260cb9fe19d86c439e0eaaa167a43fb696e4b45019a8ee4"},
+	}
+	if err := goldenCustom(); err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range cases {
 		t.Run(c.rs.String(), func(t *testing.T) {

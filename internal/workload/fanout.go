@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -236,10 +235,11 @@ const (
 	fsubCancel
 	fsubTimeout
 	fsubShed
+	nSubOutcomes
 )
 
 // fsubName maps subtask outcomes to the obs Fanout event's actions.
-var fsubName = [...]string{"sub_done", "sub_cancel", "sub_timeout", "sub_shed"}
+var fsubName = [nSubOutcomes]string{"sub_done", "sub_cancel", "sub_timeout", "sub_shed"}
 
 // fanReq is the fan-out state of one in-flight parent request: the
 // current stage's per-slot completion/outstanding/hedge accounting and
@@ -295,7 +295,7 @@ func (ol *openLoop) newFanReq(rq *request) *fanReq {
 		ol.fanFree = fr.nextFree
 		fr.nextFree = nil
 	}
-	w := ol.cfg.fan.Width
+	w := ol.p.fan.Width
 	if cap(fr.done) < w {
 		fr.done = make([]bool, w)
 		fr.outstanding = make([]int16, w)
@@ -309,7 +309,7 @@ func (ol *openLoop) newFanReq(rq *request) *fanReq {
 	fr.resetStage()
 	fr.rq, fr.class = rq, rq.class
 	fr.stage, fr.open = 0, 0
-	fr.need = ol.cfg.fan.Need()
+	fr.need = ol.p.fan.Need()
 	fr.doomed, fr.pooled = false, false
 	return fr
 }
@@ -379,9 +379,9 @@ func (ol *openLoop) startStage(fr *fanReq) {
 		if left < 0 {
 			left = 0
 		}
-		fr.stageDeadline = now + left/sim.Time(ol.cfg.fan.Stages-fr.stage)
+		fr.stageDeadline = now + left/sim.Time(ol.p.fan.Stages-fr.stage)
 	}
-	for slot := 0; slot < ol.cfg.fan.Width; slot++ {
+	for slot := 0; slot < ol.p.fan.Width; slot++ {
 		if fr.rq == nil {
 			return // a synchronous shed already doomed the request
 		}
@@ -417,7 +417,7 @@ func (ol *openLoop) issueSub(fr *fanReq, slot, hedgeN int) {
 // delay, unless the per-slot hedge budget (issued + armed) is spent or
 // the percentile policy is still warming up.
 func (ol *openLoop) armHedge(fr *fanReq, slot int) {
-	hs := &ol.cfg.hedge
+	hs := &ol.p.hedge
 	if hs.Kind == HedgeNone || int(fr.hedged[slot])+int(fr.pending[slot]) >= hs.Max {
 		return
 	}
@@ -434,7 +434,7 @@ func (ol *openLoop) armHedge(fr *fanReq, slot int) {
 // completed-subtask latency histogram — no RNG draws, so the base
 // arrival stream stays identical across schedulers and policies.
 func (ol *openLoop) hedgeDelay() (sim.Duration, bool) {
-	hs := &ol.cfg.hedge
+	hs := &ol.p.hedge
 	switch hs.Kind {
 	case HedgeFixed:
 		return hs.After, true
@@ -467,7 +467,7 @@ func (ol *openLoop) hedgeFire(ht *hedgeTimer, now sim.Time) {
 				ol.fanHedges++
 				if h := ol.m.Obs(); h.Enabled() {
 					h.Emit(obs.Fanout{
-						T: now, Action: "hedge", Class: ol.cfg.classes[fr.class].name,
+						T: now, Action: "hedge", Class: ol.p.classes[fr.class].name,
 						Stage: fr.stage, Slot: slot, Attempt: int(fr.hedged[slot]),
 					})
 				}
@@ -537,19 +537,10 @@ func (ol *openLoop) settleSub(att *request, outcome int, cause string, lat sim.D
 	now := ol.m.Engine().Now()
 	fr.open--
 	ol.fanOutstanding--
-	switch outcome {
-	case fsubDone:
-		ol.fanDone++
-	case fsubCancel:
-		ol.fanCancelled++
-	case fsubTimeout:
-		ol.fanTimeout++
-	case fsubShed:
-		ol.fanShed++
-	}
+	ol.fanOut[outcome]++
 	if h := ol.m.Obs(); h.Enabled() {
 		h.Emit(obs.Fanout{
-			T: now, Action: fsubName[outcome], Class: ol.cfg.classes[att.class].name,
+			T: now, Action: fsubName[outcome], Class: ol.p.classes[att.class].name,
 			Stage: att.fstage, Slot: att.slot, Attempt: att.hedgeN, Cause: cause, Lat: lat,
 		})
 	}
@@ -560,7 +551,7 @@ func (ol *openLoop) settleSub(att *request, outcome int, cause string, lat sim.D
 		fr.outstanding[slot]--
 		switch outcome {
 		case fsubDone:
-			if ol.cfg.hedge.Kind == HedgePctl {
+			if ol.p.hedge.Kind == HedgePctl {
 				ol.fanLat.Add(lat)
 			}
 			ol.slotDone(fr, slot, hedgeN, now)
@@ -598,7 +589,7 @@ func (ol *openLoop) maybeSlotFailed(fr *fanReq, slot, outcome int) {
 		return
 	}
 	fr.failN++
-	if fr.failN > ol.cfg.fan.Width-fr.need {
+	if fr.failN > ol.p.fan.Width-fr.need {
 		ol.doom(fr, outcome)
 	}
 }
@@ -631,16 +622,16 @@ func (ol *openLoop) stageSatisfied(fr *fanReq, now sim.Time) {
 	ol.fanStages++
 	if h := ol.m.Obs(); h.Enabled() {
 		h.Emit(obs.Fanout{
-			T: now, Action: "stage_done", Class: ol.cfg.classes[fr.class].name,
-			Stage: fr.stage, Width: ol.cfg.fan.Width,
+			T: now, Action: "stage_done", Class: ol.p.classes[fr.class].name,
+			Stage: fr.stage, Width: ol.p.fan.Width,
 			Lat: sim.Duration(now - fr.stageStart), Straggle: straggle,
 		})
 	}
-	if fr.stage == ol.cfg.fan.Stages-1 {
+	if fr.stage == ol.p.fan.Stages-1 {
 		rq := fr.rq
 		fr.rq = nil
 		lat := sim.Duration(now - rq.arrived)
-		ol.cfg.classes[rq.class].acc.record(lat)
+		ol.acc[rq.class].record(lat)
 		ol.settle(rq, outCompleted, lat)
 		ol.maybeFreeFanReq(fr)
 		return
@@ -655,104 +646,54 @@ func (ol *openLoop) stageSatisfied(fr *fanReq, now sim.Time) {
 // outstanding. Registered with the run's invariant.Checker and swept
 // after every simulation event, faults included.
 func (ol *openLoop) fanProbe() string {
-	settled := ol.fanDone + ol.fanCancelled + ol.fanTimeout + ol.fanShed
+	var settled int64
+	for _, n := range ol.fanOut {
+		settled += n
+	}
 	if ol.fanOutstanding < 0 || settled+ol.fanOutstanding != ol.fanIssued {
 		return fmt.Sprintf("issued %d != done %d + cancelled %d + timeout %d + shed %d + outstanding %d",
-			ol.fanIssued, ol.fanDone, ol.fanCancelled, ol.fanTimeout, ol.fanShed, ol.fanOutstanding)
+			ol.fanIssued, ol.fanOut[fsubDone], ol.fanOut[fsubCancel], ol.fanOut[fsubTimeout], ol.fanOut[fsubShed], ol.fanOutstanding)
 	}
 	return ""
 }
 
 // ---- Registered fan-out workloads -----------------------------------
 
-// fanoutProfile is the serving shape of the fan-out presets: a
-// single-class open-loop pool whose every admitted request fans out
-// per the spec, with heavy-tailed subtask service so stragglers exist
-// to hedge against.
-type fanoutProfile struct {
-	handlers   int
-	requests   int // base arrivals at paper scale
-	queueDepth int
-	factor     float64 // offered load as a multiple of nominal capacity
-	fan        FanoutSpec
-	hedge      HedgeSpec
-	service    sim.Duration // mean subtask service time
-	cv         float64
-	slo        sim.Duration
-	timeout    sim.Duration // parent deadline, split across stages
-	retries    int
-	backoff    sim.Duration
-}
-
-// capacityRate returns the pool's nominal throughput in parent requests
-// per second: handlers / (stages × width × mean subtask service).
-func (p fanoutProfile) capacityRate() float64 {
-	per := float64(p.fan.Stages) * float64(p.fan.Width) * float64(p.service)
-	return float64(p.handlers) / per * float64(sim.Second)
-}
-
-func (p fanoutProfile) install(m *cpu.Machine, scale float64) {
-	reqs := scaleCount(p.requests, scale, 50)
-	sp := &ArrivalSpec{Kind: ArrPoisson, Rate: p.factor * p.capacityRate()}
-	src, err := sp.Source()
-	if err != nil {
-		panic(fmt.Sprintf("workload: fanout arrival spec: %v", err))
-	}
-	// Admission caps the subtask backlog: the queue holds subtask
-	// attempts, so the limit is expressed in handler multiples.
-	adm, err := ParseAdmission(fmt.Sprintf("cap:%d", 6*p.handlers))
-	if err != nil {
-		panic(fmt.Sprintf("workload: fanout admission spec: %v", err))
-	}
-	fan := p.fan // copy: install must not mutate the registered template
-	installOpenLoopPool(m, openLoopCfg{
-		handlers:   p.handlers,
-		total:      reqs,
-		queueDepth: p.queueDepth,
-		src:        src,
-		adm:        adm,
-		timeout:    p.timeout,
-		maxRetries: p.retries,
-		backoff:    p.backoff,
-		fan:        &fan,
-		hedge:      p.hedge,
-		classes: []reqClass{{
-			name: "fan", prio: 0, share: 1,
-			svc: jitterCycles(m, p.service, p.cv),
-			slo: p.slo,
-			acc: &sloAccum{class: "fan", slo: p.slo},
-		}},
-		endToEnd: true,
-	})
-}
-
-// referenceFanout is the preset the fanout/* workloads share; width,
-// offered-load factor and hedge policy vary across the grid. Subtask
-// service is heavy-tailed (cv 1.5) so one cold or unlucky subtask
-// plausibly straggles an entire stage.
-func referenceFanout(width int, factor float64, hedge string) fanoutProfile {
-	hs := HedgeSpec{Kind: HedgeNone}
-	if hedge != "none" {
-		parsed, err := ParseHedgeSpec("hedge:after=" + hedge + ",max=1")
-		if err != nil {
-			panic(fmt.Sprintf("workload: fanout hedge %q: %v", hedge, err))
-		}
-		hs = *parsed
-	}
-	return fanoutProfile{
+// referenceFanout is the preset the fanout/* workloads share: a
+// single-class open-loop pool whose every admitted request fans out per
+// fan at factor × nominal capacity. Subtask service is heavy-tailed
+// (cv 1.5) so one cold or unlucky subtask plausibly straggles an entire
+// stage. Admission caps the subtask backlog: the queue holds subtask
+// attempts, so the limit is expressed in handler multiples.
+func referenceFanout(fan FanoutSpec, factor float64, hedge HedgeSpec) pool {
+	p := pool{
 		handlers:   64,
-		requests:   20000,
 		queueDepth: 8192,
-		factor:     factor,
-		fan:        FanoutSpec{Width: width, Stages: 2},
-		hedge:      hs,
-		service:    250 * sim.Microsecond,
-		cv:         1.5,
-		slo:        8 * msec,
-		timeout:    20 * msec,
+		requests:   20000,
+		timeout:    20 * msec, // parent deadline, split across stages
 		retries:    1,
 		backoff:    2 * msec,
+		classes:    []poolClass{{name: "fan", prio: 0, share: 1, service: 250 * sim.Microsecond, cv: 1.5, slo: 8 * msec}},
+		fan:        &fan,
+		hedge:      hedge,
+		endToEnd:   true,
 	}
+	p.admission = fmt.Sprintf("cap:%d", 6*p.handlers)
+	p.arrival = ArrivalSpec{Kind: ArrPoisson, Rate: factor * p.capacityRate()}
+	return p
+}
+
+// gridHedge is a grid axis value: "none", or a percentile like "p95"
+// hedging once after that percentile of observed subtask latency.
+func gridHedge(hedge string) HedgeSpec {
+	if hedge == "none" {
+		return HedgeSpec{Kind: HedgeNone}
+	}
+	hs, err := ParseHedgeSpec("hedge:after=" + hedge + ",max=1")
+	if err != nil {
+		panic(fmt.Sprintf("workload: fanout hedge %q: %v", hedge, err))
+	}
+	return *hs
 }
 
 // FanoutWidths, FanoutHedges and FanoutFactors enumerate the registered
@@ -774,32 +715,21 @@ func init() {
 	for _, w := range FanoutWidths {
 		for _, f := range FanoutFactors {
 			for _, hg := range FanoutHedges {
-				prof := referenceFanout(w, f, hg)
-				register(&Workload{
-					Name:         FanoutMixName(w, f, hg),
-					Suite:        "fanout",
-					PaperSeconds: 1,
-					Install:      prof.install,
-				})
+				p := referenceFanout(FanoutSpec{Width: w, Stages: 2}, f, gridHedge(hg))
+				mustRegister(p, FanoutMixName(w, f, hg), "fanout")
 			}
 		}
 	}
 	// A quorum variant: 12-of-16 with fixed-delay hedges, the classic
 	// "good enough" aggregation that tolerates slow shards outright.
-	quorum := referenceFanout(16, 0.9, "none")
-	quorum.fan.Quorum = 12
-	quorum.hedge = HedgeSpec{Kind: HedgeFixed, After: msec, Max: 2}
-	register(&Workload{
-		Name:         "fanout/quorum",
-		Suite:        "fanout",
-		PaperSeconds: 1,
-		Install:      quorum.install,
-	})
+	quorum := referenceFanout(FanoutSpec{Width: 16, Stages: 2, Quorum: 12}, 0.9,
+		HedgeSpec{Kind: HedgeFixed, After: msec, Max: 2})
+	mustRegister(quorum, "fanout/quorum", "fanout")
 }
 
 // RegisterFanoutWorkload registers a custom fan-out serving workload
 // (cmd/nestsim -fanout/-hedge) on the reference pool at the given
-// offered-load factor.
+// offered-load factor; the rate follows the spec's stages × width.
 func RegisterFanoutWorkload(name, fanSpec, hedgeSpec string, factor float64) error {
 	fan, err := ParseFanoutSpec(fanSpec)
 	if err != nil {
@@ -814,16 +744,5 @@ func RegisterFanoutWorkload(name, fanSpec, hedgeSpec string, factor float64) err
 	if factor <= 0 {
 		return fmt.Errorf("workload: fanout load factor %g must be positive", factor)
 	}
-	if _, err := ByName(name); err == nil {
-		return fmt.Errorf("workload: %q already registered", name)
-	}
-	prof := referenceFanout(fan.Width, factor, "none")
-	prof.fan, prof.hedge = *fan, *hs
-	register(&Workload{
-		Name:         name,
-		Suite:        "fanout",
-		PaperSeconds: 1,
-		Install:      prof.install,
-	})
-	return nil
+	return referenceFanout(*fan, factor, *hs).register(name, "fanout")
 }

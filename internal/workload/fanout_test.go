@@ -98,64 +98,26 @@ func TestParseHedgeSpecErrors(t *testing.T) {
 	}
 }
 
-// installFanout installs prof with an explicit base-arrival budget and
-// returns the live pool for white-box inspection.
-func installFanout(t *testing.T, m *cpu.Machine, prof fanoutProfile, total int) *openLoop {
-	t.Helper()
-	sp := &ArrivalSpec{Kind: ArrPoisson, Rate: prof.factor * prof.capacityRate()}
-	src, err := sp.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	adm, err := ParseAdmission("none")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fan := prof.fan
-	return installOpenLoopPool(m, openLoopCfg{
-		handlers:   prof.handlers,
-		total:      total,
-		queueDepth: prof.queueDepth,
-		src:        src,
-		adm:        adm,
-		timeout:    prof.timeout,
-		maxRetries: prof.retries,
-		backoff:    prof.backoff,
-		fan:        &fan,
-		hedge:      prof.hedge,
-		classes: []reqClass{{
-			name: "fan", prio: 0, share: 1,
-			svc: jitterCycles(m, prof.service, prof.cv),
-			slo: prof.slo,
-			acc: &sloAccum{class: "fan", slo: prof.slo},
-		}},
-		endToEnd: true,
-	})
-}
-
 // TestFanoutConservation holds the lifecycle to its invariant one level
 // down: every subtask attempt — primaries and hedges, across quorum
 // cancellation and deadline dooming — terminal in exactly one of
 // done/cancelled/timed-out/shed, with nothing outstanding at the end,
 // and the parent-level attempt accounting conserved above it.
 func TestFanoutConservation(t *testing.T) {
-	profiles := map[string]fanoutProfile{
-		"all-light":    referenceFanout(8, 0.7, "none"),
-		"all-hedged":   referenceFanout(16, 0.7, "p95"),
-		"overload":     referenceFanout(16, 1.4, "p95"),
-		"quorum-hedge": referenceFanout(16, 1.0, "none"),
+	pools := map[string]pool{
+		"all-light":  referenceFanout(FanoutSpec{Width: 8, Stages: 2}, 0.7, gridHedge("none")),
+		"all-hedged": referenceFanout(FanoutSpec{Width: 16, Stages: 2}, 0.7, gridHedge("p95")),
+		"overload":   referenceFanout(FanoutSpec{Width: 16, Stages: 2}, 1.4, gridHedge("p95")),
+		"quorum-hedge": referenceFanout(FanoutSpec{Width: 16, Stages: 2, Quorum: 12}, 1.0,
+			HedgeSpec{Kind: HedgeFixed, After: msec, Max: 2}),
 	}
-	q := profiles["quorum-hedge"]
-	q.fan.Quorum = 12
-	q.hedge = HedgeSpec{Kind: HedgeFixed, After: msec, Max: 2}
-	profiles["quorum-hedge"] = q
-
-	for name, prof := range profiles {
+	for name, p := range pools {
 		m := cpu.New(cpu.Config{
 			Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{},
 			Policy: cfs.Default(), Seed: 11,
 		})
-		ol := installFanout(t, m, prof, 1200)
+		p.admission, p.requests = "none", 1200
+		ol := p.install(m, 1)
 		res := m.Run(0)
 		if res.Custom["truncated"] != 0 {
 			t.Fatalf("%s: run truncated", name)
@@ -166,19 +128,19 @@ func TestFanoutConservation(t *testing.T) {
 		if ol.fanOutstanding != 0 {
 			t.Errorf("%s: %d subtask attempts leaked", name, ol.fanOutstanding)
 		}
-		if ol.fanIssued == 0 || ol.fanDone == 0 {
-			t.Errorf("%s: no fan-out activity (issued %d, done %d)", name, ol.fanIssued, ol.fanDone)
+		if ol.fanIssued == 0 || ol.fanOut[fsubDone] == 0 {
+			t.Errorf("%s: no fan-out activity (issued %d, done %d)", name, ol.fanIssued, ol.fanOut[fsubDone])
 		}
-		if ol.offered != ol.completed+ol.timedOut+ol.shed {
-			t.Errorf("%s: parent conservation broken: offered %d != %d+%d+%d",
-				name, ol.offered, ol.completed, ol.timedOut, ol.shed)
+		if settled, delivered := ol.out.offered(), int64(ol.delivered)+ol.retries; settled != delivered {
+			t.Errorf("%s: parent conservation broken: %d attempts settled, %d delivered (%d base + %d retries)",
+				name, settled, delivered, ol.delivered, ol.retries)
 		}
-		if ol.cfg.hedge.Kind != HedgeNone && ol.fanHedges > 0 && ol.fanHedgeWins > ol.fanHedges {
+		if ol.p.hedge.Kind != HedgeNone && ol.fanHedges > 0 && ol.fanHedgeWins > ol.fanHedges {
 			t.Errorf("%s: more hedge wins (%d) than hedges (%d)", name, ol.fanHedgeWins, ol.fanHedges)
 		}
 		t.Logf("%s: issued %d = done %d + cancelled %d + timeout %d + shed %d; hedges %d wins %d; parents %d/%d/%d",
-			name, ol.fanIssued, ol.fanDone, ol.fanCancelled, ol.fanTimeout, ol.fanShed,
-			ol.fanHedges, ol.fanHedgeWins, ol.completed, ol.timedOut, ol.shed)
+			name, ol.fanIssued, ol.fanOut[fsubDone], ol.fanOut[fsubCancel], ol.fanOut[fsubTimeout], ol.fanOut[fsubShed],
+			ol.fanHedges, ol.fanHedgeWins, ol.out[outCompleted], ol.out.timedOut(), ol.out.shed())
 	}
 }
 
@@ -186,18 +148,18 @@ func TestFanoutConservation(t *testing.T) {
 // stage advances after K completions, so the W-K undone slots' attempts
 // must drain as cancelled — saved work, visible in the accounting.
 func TestFanoutQuorumCancelsStragglers(t *testing.T) {
-	prof := referenceFanout(16, 0.7, "none")
-	prof.fan.Quorum = 10
+	p := referenceFanout(FanoutSpec{Width: 16, Stages: 2, Quorum: 10}, 0.7, gridHedge("none"))
+	p.admission, p.requests = "none", 600
 	m := cpu.New(cpu.Config{
 		Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{},
 		Policy: cfs.Default(), Seed: 3,
 	})
-	ol := installFanout(t, m, prof, 600)
+	ol := p.install(m, 1)
 	if res := m.Run(0); res.Custom["truncated"] != 0 {
 		t.Fatal("run truncated")
 	}
-	if ol.fanCancelled == 0 {
-		t.Errorf("quorum run cancelled no stragglers (issued %d, done %d)", ol.fanIssued, ol.fanDone)
+	if ol.fanOut[fsubCancel] == 0 {
+		t.Errorf("quorum run cancelled no stragglers (issued %d, done %d)", ol.fanIssued, ol.fanOut[fsubDone])
 	}
 	if msg := ol.fanProbe(); msg != "" {
 		t.Errorf("subtask conservation broken: %s", msg)
@@ -209,24 +171,25 @@ func TestFanoutQuorumCancelsStragglers(t *testing.T) {
 // attempts expire, their parents are doomed through the fanout timeout
 // path, and the parent accounting stays conserved.
 func TestFanoutDeadlinePropagates(t *testing.T) {
-	prof := referenceFanout(16, 1.4, "none")
+	p := referenceFanout(FanoutSpec{Width: 16, Stages: 2}, 1.4, gridHedge("none"))
+	p.admission, p.requests = "none", 1500
 	m := cpu.New(cpu.Config{
 		Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{},
 		Policy: cfs.Default(), Seed: 5,
 	})
-	ol := installFanout(t, m, prof, 1500)
+	ol := p.install(m, 1)
 	if res := m.Run(0); res.Custom["truncated"] != 0 {
 		t.Fatal("run truncated")
 	}
-	if ol.fanTimeout == 0 {
+	if ol.fanOut[fsubTimeout] == 0 {
 		t.Error("overloaded fan-out produced no subtask timeouts")
 	}
-	if ol.timeoutFanout == 0 {
+	if ol.out[outTimeoutFanout] == 0 {
 		t.Error("overloaded fan-out doomed no parents")
 	}
-	if ol.offered != ol.completed+ol.timedOut+ol.shed {
-		t.Errorf("offered %d != completed %d + timeout %d + shed %d",
-			ol.offered, ol.completed, ol.timedOut, ol.shed)
+	if settled, delivered := ol.out.offered(), int64(ol.delivered)+ol.retries; settled != delivered {
+		t.Errorf("%d attempts settled, %d delivered (%d base + %d retries)",
+			settled, delivered, ol.delivered, ol.retries)
 	}
 }
 
@@ -302,20 +265,22 @@ func TestFanoutSchedulersShareArrivals(t *testing.T) {
 // TestFanoutNoDeadlineNoTimeouts: with timeout=0 there are no stage
 // budgets, so nothing may time out and every parent must complete.
 func TestFanoutNoDeadlineNoTimeouts(t *testing.T) {
-	prof := referenceFanout(8, 0.7, "p95")
-	prof.timeout, prof.retries = 0, 0
+	p := referenceFanout(FanoutSpec{Width: 8, Stages: 2}, 0.7, gridHedge("p95"))
+	p.timeout, p.retries = 0, 0
+	p.admission, p.requests = "none", 400
 	m := cpu.New(cpu.Config{
 		Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{},
 		Policy: cfs.Default(), Seed: 9,
 	})
-	ol := installFanout(t, m, prof, 400)
+	ol := p.install(m, 1)
 	if res := m.Run(0); res.Custom["truncated"] != 0 {
 		t.Fatal("run truncated")
 	}
-	if ol.fanTimeout != 0 {
-		t.Errorf("deadline-free run timed out %d subtask attempts", ol.fanTimeout)
+	if ol.fanOut[fsubTimeout] != 0 {
+		t.Errorf("deadline-free run timed out %d subtask attempts", ol.fanOut[fsubTimeout])
 	}
-	if ol.completed != ol.offered {
-		t.Errorf("deadline-free run: %d of %d parents completed", ol.completed, ol.offered)
+	if ol.out[outCompleted] != ol.out.offered() || ol.out[outCompleted] != int64(ol.delivered) {
+		t.Errorf("deadline-free run: %d of %d parents completed (%d delivered)",
+			ol.out[outCompleted], ol.out.offered(), ol.delivered)
 	}
 }

@@ -10,16 +10,103 @@ import (
 	"repro/internal/sim"
 )
 
-// reqClass is one request class served by an open-loop pool. Priority 0
-// is the highest (shed last); service cycles are drawn per request from
-// the handler's seeded RNG.
-type reqClass struct {
-	name  string
-	prio  int
-	share float64
-	svc   func(*sim.Rand) int64
-	slo   sim.Duration
-	acc   *sloAccum
+// poolClass is one request class served by an open-loop pool. Priority
+// 0 is the highest (shed last); service is the mean of a lognormal
+// per-request service time with coefficient of variation cv, drawn from
+// the handler's seeded RNG; slo is the class's latency target.
+type poolClass struct {
+	name    string
+	prio    int
+	share   float64
+	service sim.Duration
+	cv      float64
+	slo     sim.Duration
+}
+
+// pool describes one open-loop serving workload: apache-siege's queue,
+// the overload mix and diurnal curve, trace replay and every fan-out
+// preset are pool values, and install is the one way any of them runs.
+// register validates a pool (see check), so install only panics on a
+// bug in a built-in preset.
+type pool struct {
+	handlers   int
+	queueDepth int
+	// requests is the base-arrival count at paper scale; a trace
+	// replays its own length instead (see install).
+	requests int
+	arrival  ArrivalSpec
+	// admission is a ParseAdmission spec; it is parsed afresh per
+	// install because policies carry run state.
+	admission string
+	timeout   sim.Duration // per-attempt deadline; 0 = none
+	retries   int
+	backoff   sim.Duration // retry backoff base (doubles per attempt)
+	classes   []poolClass
+	// fan enables the fan-out request lifecycle (fanout.go): admitted
+	// parents spawn fan.Width subtask attempts per stage instead of
+	// entering the queue themselves; hedge is the duplicate-issue
+	// policy for straggling slots.
+	fan   *FanoutSpec
+	hedge HedgeSpec
+	// endToEnd selects what SLO accounting measures: queue wait plus
+	// service (the overload and fan-out suites) or service only (the
+	// classic §5.6 server profiles, preserving their semantics).
+	endToEnd bool
+}
+
+// capacityRate returns the pool's nominal throughput in requests per
+// second: handlers / weighted mean service time, where a fan-out
+// request costs stages × width subtask services.
+func (p *pool) capacityRate() float64 {
+	var mean float64
+	for _, cl := range p.classes {
+		mean += cl.share * float64(cl.service)
+	}
+	if p.fan != nil {
+		mean = float64(p.fan.Stages) * float64(p.fan.Width) * mean
+	}
+	return float64(p.handlers) / mean * float64(sim.Second)
+}
+
+// check validates the specs install parses, so that a bad user-supplied
+// spec fails at registration rather than inside a run.
+func (p *pool) check() error {
+	if _, err := p.arrival.Source(); err != nil {
+		return err
+	}
+	if _, err := ParseAdmission(p.admission); err != nil {
+		return err
+	}
+	if p.fan != nil {
+		if err := p.fan.Validate(); err != nil {
+			return err
+		}
+	}
+	return p.hedge.Validate()
+}
+
+// mustRegister registers a built-in preset.
+func mustRegister(p pool, name, suite string) {
+	if err := p.register(name, suite); err != nil {
+		panic(err)
+	}
+}
+
+// register validates p and registers it as a workload.
+func (p pool) register(name, suite string) error {
+	if err := p.check(); err != nil {
+		return fmt.Errorf("workload %s: %w", name, err)
+	}
+	if _, err := ByName(name); err == nil {
+		return fmt.Errorf("workload: %q already registered", name)
+	}
+	register(&Workload{
+		Name:         name,
+		Suite:        suite,
+		PaperSeconds: 1,
+		Install:      func(m *cpu.Machine, scale float64) { p.install(m, scale) },
+	})
+	return nil
 }
 
 // request is one delivery attempt flowing through the open-loop server.
@@ -28,7 +115,7 @@ type reqClass struct {
 // request structs.
 type request struct {
 	ol       *openLoop
-	class    int // index into openLoop.classes
+	class    int // index into the pool's classes
 	attempt  int // 0 = first try, incremented per client retry
 	arrived  sim.Time
 	deadline sim.Time // 0 = no deadline
@@ -88,8 +175,8 @@ func (p *pumpRunner) RunAt(now sim.Time) {
 // Attempt outcomes. Every delivered attempt terminates in exactly one:
 // completed (served within its deadline), timed out (expired in queue,
 // or served too late), or shed (admission reject, full queue, or a
-// CoDel-style drop at dequeue). The conservation test in
-// overload_test.go holds the workload to that.
+// CoDel-style drop at dequeue). The conservation tests in
+// overload_test.go hold the workload to that.
 const (
 	outCompleted = iota
 	outTimeoutQueue
@@ -102,10 +189,11 @@ const (
 	// blew its stage deadline budget, or was shed with no hedge left.
 	outTimeoutFanout
 	outShedFanout
+	nOutcomes
 )
 
 // outName maps outcomes to the obs Overload event's action strings.
-var outName = [...]string{
+var outName = [nOutcomes]string{
 	outCompleted:     "completed",
 	outTimeoutQueue:  "timeout_queue",
 	outTimeoutServed: "timeout_served",
@@ -116,32 +204,24 @@ var outName = [...]string{
 	outShedFanout:    "shed_fanout",
 }
 
-// openLoopCfg parameterises an open-loop serving pool.
-type openLoopCfg struct {
-	handlers   int
-	total      int // base arrivals to generate (traces may end earlier)
-	queueDepth int
-	src        ArrivalSource
-	adm        admission
-	timeout    sim.Duration // per-attempt deadline; 0 = none
-	maxRetries int
-	backoff    sim.Duration // retry backoff base (doubles per attempt)
-	classes    []reqClass
-	// fan enables the fan-out request lifecycle (fanout.go): admitted
-	// parents spawn fan.Width subtask attempts per stage instead of
-	// entering the queue themselves; hedge is the duplicate-issue
-	// policy for straggling slots.
-	fan   *FanoutSpec
-	hedge HedgeSpec
-	// endToEnd selects what SLO accounting measures: queue wait plus
-	// service (the overload suite) or service only (the classic §5.6
-	// server profiles, preserving their semantics).
-	endToEnd bool
+// tally counts settled attempts by outcome. Once the pool has shut
+// down every offered attempt has settled, so offered is their sum.
+type tally [nOutcomes]int64
+
+func (c *tally) offered() int64 {
+	var n int64
+	for _, v := range c {
+		n += v
+	}
+	return n
 }
 
-// perClass is the per-class attempt accounting.
-type perClass struct {
-	offered, completed, timedOut, shed, retries int64
+func (c *tally) timedOut() int64 {
+	return c[outTimeoutQueue] + c[outTimeoutServed] + c[outTimeoutFanout]
+}
+
+func (c *tally) shed() int64 {
+	return c[outShedAdmission] + c[outShedFull] + c[outShedCodel] + c[outShedFanout]
 }
 
 // openLoop drives an open-loop serving pool: an engine-scheduled
@@ -157,9 +237,14 @@ type perClass struct {
 // do not perturb base arrivals. Handlers draw service times from the
 // machine RNG as all workloads do.
 type openLoop struct {
-	cfg openLoopCfg
-	m   *cpu.Machine
-	ch  *proc.Chan
+	p     pool // the preset this run was installed from
+	total int  // base arrivals to generate (traces may end earlier)
+	src   ArrivalSource
+	adm   admission
+	svc   []func(*sim.Rand) int64 // per-class service-cycle draw
+	acc   []sloAccum              // per-class latency and SLO accounting
+	m     *cpu.Machine
+	ch    *proc.Chan
 	// queue holds admitted requests in arrival order; entries pair 1:1
 	// with messages in ch (nil entries are shutdown sentinels).
 	queue  []*request
@@ -175,51 +260,69 @@ type openLoop struct {
 	open      int  // attempt chains not yet terminal
 	sentinels bool
 
-	// Attempt accounting (aggregate and per class).
-	offered, completed, timedOut, shed, retries int64
-	shedAdmission, shedFull, shedCodel          int64
-	timeoutQueue, timeoutServed                 int64
-	timeoutFanout, shedFanout                   int64
-	byClass                                     []perClass
+	// Attempt accounting, aggregate and per class, plus client retries.
+	out     tally
+	byClass []tally
+	retries int64
 
 	// Fan-out state (fanout.go): record pools, the completed-subtask
 	// latency histogram feeding percentile hedges, and subtask-attempt
-	// conservation accounting (issued == terminal + outstanding,
+	// conservation accounting (issued == settled + outstanding,
 	// asserted by the fanout_conservation invariant probe).
-	fanFree                          *fanReq     //own:engine
-	htFree                           *hedgeTimer //own:engine
-	fanLat                           metrics.LatHist
-	fanIssued, fanDone, fanCancelled int64
-	fanTimeout, fanShed              int64
-	fanHedges, fanHedgeWins          int64
-	fanOutstanding                   int64
-	fanStraggleSum                   sim.Duration
-	fanStages                        int64
+	fanFree                 *fanReq     //own:engine
+	htFree                  *hedgeTimer //own:engine
+	fanLat                  metrics.LatHist
+	fanIssued               int64
+	fanOut                  [nSubOutcomes]int64 // settled subtask attempts by outcome
+	fanHedges, fanHedgeWins int64
+	fanOutstanding          int64
+	fanStraggleSum          sim.Duration
+	fanStages               int64
 }
 
-// installOpenLoopPool wires the pool into the machine: handlers under a
-// "server-main" root, the arrival pump on the engine, SLO accounting
-// and overload customs published when the root exits.
-func installOpenLoopPool(m *cpu.Machine, cfg openLoopCfg) *openLoop {
+// install wires p into the machine — handlers under a "server-main"
+// root, the arrival pump on the engine, the run's customs published
+// when the root exits — and returns the live pool. The base-arrival
+// count is p.requests scaled with a floor of 50, or for trace replay
+// the trace's own length scaled with a floor of 1.
+func (p pool) install(m *cpu.Machine, scale float64) *openLoop {
+	src, err := p.arrival.Source()
+	if err != nil {
+		panic(fmt.Sprintf("workload: pool arrival spec: %v", err))
+	}
+	adm, err := ParseAdmission(p.admission)
+	if err != nil {
+		panic(fmt.Sprintf("workload: pool admission spec: %v", err))
+	}
+	total := scaleCount(p.requests, scale, 50)
+	if p.arrival.Kind == ArrTrace {
+		total = scaleCount(len(p.arrival.Trace), scale, 1)
+	}
 	ol := &openLoop{
-		cfg:     cfg,
+		p:       p,
+		total:   total,
+		src:     src,
+		adm:     adm,
+		svc:     make([]func(*sim.Rand) int64, len(p.classes)),
+		acc:     make([]sloAccum, len(p.classes)),
 		m:       m,
-		ch:      proc.NewChan("requests", cfg.queueDepth),
+		ch:      proc.NewChan("requests", p.queueDepth),
 		arrRng:  sim.NewRand(m.Result().Seed ^ 0x61727276616c2121), // "arrval!!"
 		cliRng:  sim.NewRand(m.Result().Seed ^ 0x636c69656e742121), // "client!!"
-		byClass: make([]perClass, len(cfg.classes)),
+		byClass: make([]tally, len(p.classes)),
+	}
+	for i, cl := range p.classes {
+		ol.svc[i] = jitterCycles(m, cl.service, cl.cv)
+		ol.acc[i] = sloAccum{class: cl.name, slo: cl.slo}
 	}
 	ol.pump = pumpRunner{ol: ol}
 	var actions []proc.Action
-	for i := 0; i < cfg.handlers; i++ {
+	for i := 0; i < p.handlers; i++ {
 		actions = append(actions, proc.Fork{Name: fmt.Sprintf("handler-%d", i), Behavior: ol.handler()})
 	}
 	actions = append(actions, proc.WaitChildren{})
 	m.Spawn("server-main", proc.Script(actions...))
-	for _, cl := range cfg.classes {
-		cl.acc.finishOn(m, "server-main")
-	}
-	if cfg.fan != nil {
+	if p.fan != nil {
 		if chk := m.Checker(); chk != nil {
 			chk.RegisterProbe("fanout_conservation", ol.fanProbe)
 		}
@@ -232,11 +335,11 @@ func installOpenLoopPool(m *cpu.Machine, cfg openLoopCfg) *openLoop {
 // scheduleNextArrival draws the gap to the next base arrival and posts
 // it; when the source is exhausted the pump retires.
 func (ol *openLoop) scheduleNextArrival() {
-	if ol.cfg.total > 0 && ol.delivered >= ol.cfg.total {
+	if ol.total > 0 && ol.delivered >= ol.total {
 		ol.pumpDone()
 		return
 	}
-	gap, class, ok := ol.cfg.src.Next(ol.arrRng)
+	gap, class, ok := ol.src.Next(ol.arrRng)
 	if !ok {
 		ol.pumpDone()
 		return
@@ -256,25 +359,26 @@ func (ol *openLoop) pumpDone() {
 // classIndex resolves a trace-supplied class name, or draws from the
 // configured mix.
 func (ol *openLoop) classIndex(name string) int {
+	classes := ol.p.classes
 	if name != "" {
-		for i := range ol.cfg.classes {
-			if ol.cfg.classes[i].name == name {
+		for i := range classes {
+			if classes[i].name == name {
 				return i
 			}
 		}
 	}
-	if len(ol.cfg.classes) == 1 {
+	if len(classes) == 1 {
 		return 0
 	}
 	f := ol.arrRng.Float64()
 	acc := 0.0
-	for i := range ol.cfg.classes {
-		acc += ol.cfg.classes[i].share
+	for i := range classes {
+		acc += classes[i].share
 		if f < acc {
 			return i
 		}
 	}
-	return len(ol.cfg.classes) - 1
+	return len(classes) - 1
 }
 
 // deliver runs one attempt through admission into the queue. Called
@@ -282,20 +386,17 @@ func (ol *openLoop) classIndex(name string) int {
 func (ol *openLoop) deliver(rq *request) {
 	now := ol.m.Engine().Now()
 	rq.arrived = now
-	if ol.cfg.timeout > 0 {
-		rq.deadline = now + sim.Time(ol.cfg.timeout)
+	if ol.p.timeout > 0 {
+		rq.deadline = now + sim.Time(ol.p.timeout)
 	}
 	if rq.attempt == 0 {
 		ol.open++
 	}
-	ol.offered++
-	ol.byClass[rq.class].offered++
-	cl := &ol.cfg.classes[rq.class]
-	if !ol.cfg.adm.admit(now, cl.prio, len(ol.queue)) {
+	if !ol.adm.admit(now, ol.p.classes[rq.class].prio, len(ol.queue)) {
 		ol.settle(rq, outShedAdmission, 0)
 		return
 	}
-	if ol.cfg.fan != nil {
+	if ol.p.fan != nil {
 		// Fan-out parents never occupy the queue themselves: admission
 		// is request-level, then the stage's subtask attempts carry the
 		// work (and the queue entries) from here.
@@ -356,10 +457,10 @@ func (ol *openLoop) handler() proc.Behavior {
 					}
 					cur, svcStart = rq, now
 					state = stServed
-					return proc.Compute{Cycles: ol.cfg.classes[rq.class].svc(r)}
+					return proc.Compute{Cycles: ol.svc[rq.class](r)}
 				}
 				sojourn := sim.Duration(now - rq.enqueued)
-				if ol.cfg.adm.dropAtDequeue(now, sojourn, len(ol.queue)) {
+				if ol.adm.dropAtDequeue(now, sojourn, len(ol.queue)) {
 					ol.settle(rq, outShedCodel, sojourn)
 					state = stRecv
 					continue
@@ -371,7 +472,7 @@ func (ol *openLoop) handler() proc.Behavior {
 				}
 				cur, svcStart = rq, now
 				state = stServed
-				return proc.Compute{Cycles: ol.cfg.classes[rq.class].svc(r)}
+				return proc.Compute{Cycles: ol.svc[rq.class](r)}
 			default: // stServed: the service compute just finished
 				rq := cur
 				cur = nil
@@ -386,10 +487,10 @@ func (ol *openLoop) handler() proc.Behavior {
 					continue
 				}
 				lat := sim.Duration(now - svcStart)
-				if ol.cfg.endToEnd {
+				if ol.p.endToEnd {
 					lat = sim.Duration(now - rq.arrived)
 				}
-				ol.cfg.classes[rq.class].acc.record(lat)
+				ol.acc[rq.class].record(lat)
 				ol.settle(rq, outCompleted, lat)
 				continue
 			}
@@ -402,62 +503,29 @@ func (ol *openLoop) handler() proc.Behavior {
 // done and every chain is terminal — shuts the pool down. Safe from
 // both engine and handler context.
 func (ol *openLoop) settle(rq *request, outcome int, sojourn sim.Duration) {
-	st := &ol.byClass[rq.class]
-	switch outcome {
-	case outCompleted:
-		ol.completed++
-		st.completed++
-	case outTimeoutQueue:
-		ol.timedOut++
-		ol.timeoutQueue++
-		st.timedOut++
-	case outTimeoutServed:
-		ol.timedOut++
-		ol.timeoutServed++
-		st.timedOut++
-	case outShedAdmission:
-		ol.shed++
-		ol.shedAdmission++
-		st.shed++
-	case outShedFull:
-		ol.shed++
-		ol.shedFull++
-		st.shed++
-	case outShedCodel:
-		ol.shed++
-		ol.shedCodel++
-		st.shed++
-	case outTimeoutFanout:
-		ol.timedOut++
-		ol.timeoutFanout++
-		st.timedOut++
-	case outShedFanout:
-		ol.shed++
-		ol.shedFanout++
-		st.shed++
-	}
-	cl := &ol.cfg.classes[rq.class]
+	ol.out[outcome]++
+	ol.byClass[rq.class][outcome]++
+	name := ol.p.classes[rq.class].name
 	if h := ol.m.Obs(); h.Enabled() {
 		// Completions go through the event path too (not a bare
 		// counter bump) so an offline nestobs report can recompute
 		// goodput from the stream alone; Sojourn carries the request
 		// latency for completed, the queue delay otherwise.
 		h.Emit(obs.Overload{
-			T: ol.m.Engine().Now(), Action: outName[outcome], Class: cl.name,
-			Policy: ol.cfg.adm.name(), Attempt: rq.attempt, Sojourn: sojourn,
+			T: ol.m.Engine().Now(), Action: outName[outcome], Class: name,
+			Policy: ol.adm.name(), Attempt: rq.attempt, Sojourn: sojourn,
 		})
 	}
-	if outcome != outCompleted && ol.cfg.maxRetries > 0 && rq.attempt < ol.cfg.maxRetries {
+	if outcome != outCompleted && ol.p.retries > 0 && rq.attempt < ol.p.retries {
 		ol.retries++
-		st.retries++
 		// Exponential backoff with full jitter: mean base<<attempt,
 		// drawn from the client RNG so base arrivals stay untouched.
-		mean := ol.cfg.backoff << uint(rq.attempt)
+		mean := ol.p.backoff << uint(rq.attempt)
 		delay := ol.cliRng.Exp(mean) + 1
 		if h := ol.m.Obs(); h.Enabled() {
 			h.Emit(obs.Overload{
-				T: ol.m.Engine().Now(), Action: "retry", Class: cl.name,
-				Policy: ol.cfg.adm.name(), Attempt: rq.attempt + 1,
+				T: ol.m.Engine().Now(), Action: "retry", Class: name,
+				Policy: ol.adm.name(), Attempt: rq.attempt + 1,
 			})
 		}
 		class, attempt := rq.class, rq.attempt
@@ -479,61 +547,41 @@ func (ol *openLoop) maybeShutdown() {
 		return
 	}
 	ol.sentinels = true
-	for i := 0; i < ol.cfg.handlers; i++ {
+	for i := 0; i < ol.p.handlers; i++ {
 		ol.queue = append(ol.queue, nil)
 		ol.m.InjectSend(ol.ch, true)
 	}
 }
 
-// finishOn publishes the overload customs when the root task exits.
-// Multi-class pools additionally publish merged request percentiles and
-// SLO attainment (the per-class accumulators are quiet — see sloAccum).
+// finishOn publishes the run's customs when the root task exits: the
+// request percentiles and SLO attainment over all classes, the attempt
+// tally and, for fan-out pools, the subtask tally.
 func (ol *openLoop) finishOn() {
 	ol.m.OnExit(func(t *proc.Task) {
 		if t.Name != "server-main" {
 			return
 		}
+		publishRequests(ol.m, ol.acc)
 		res := ol.m.Result()
-		if len(ol.cfg.classes) > 1 {
-			var merged metrics.LatHist
-			var ok, total int64
-			for i := range ol.cfg.classes {
-				a := ol.cfg.classes[i].acc
-				merged.Merge(&a.hist)
-				ok += a.ok
-				total += a.hist.Count()
-			}
-			if total > 0 {
-				tail := merged.Tail()
-				us := func(d sim.Duration) float64 { return float64(d) / float64(sim.Microsecond) }
-				res.SetCustom("req_total", float64(total))
-				res.SetCustom("req_p50_us", us(tail.P50))
-				res.SetCustom("req_p95_us", us(tail.P95))
-				res.SetCustom("req_p99_us", us(tail.P99))
-				res.SetCustom("req_p999_us", us(tail.P999))
-				res.SetCustom("slo_ok", float64(ok))
-				res.SetCustom("slo_pct", 100*float64(ok)/float64(total))
-			}
-		}
-		res.SetCustom("ovl_offered", float64(ol.offered))
-		res.SetCustom("ovl_completed", float64(ol.completed))
-		res.SetCustom("ovl_timeout", float64(ol.timedOut))
-		res.SetCustom("ovl_shed", float64(ol.shed))
+		offered := ol.out.offered()
+		res.SetCustom("ovl_offered", float64(offered))
+		res.SetCustom("ovl_completed", float64(ol.out[outCompleted]))
+		res.SetCustom("ovl_timeout", float64(ol.out.timedOut()))
+		res.SetCustom("ovl_shed", float64(ol.out.shed()))
 		res.SetCustom("ovl_retries", float64(ol.retries))
 		res.SetCustom("queue_hwm", float64(ol.ch.HighWater))
-		base := ol.offered - ol.retries
-		if base > 0 {
-			res.SetCustom("ovl_amp", float64(ol.offered)/float64(base))
+		if base := offered - ol.retries; base > 0 {
+			res.SetCustom("ovl_amp", float64(offered)/float64(base))
 		}
 		if secs := ol.m.Engine().Now().Seconds(); secs > 0 {
-			res.SetCustom("ovl_goodput", float64(ol.completed)/secs)
+			res.SetCustom("ovl_goodput", float64(ol.out[outCompleted])/secs)
 		}
-		if ol.cfg.fan != nil {
+		if ol.p.fan != nil {
 			res.SetCustom("fan_issued", float64(ol.fanIssued))
-			res.SetCustom("fan_done", float64(ol.fanDone))
-			res.SetCustom("fan_cancelled", float64(ol.fanCancelled))
-			res.SetCustom("fan_timeout", float64(ol.fanTimeout))
-			res.SetCustom("fan_shed", float64(ol.fanShed))
+			res.SetCustom("fan_done", float64(ol.fanOut[fsubDone]))
+			res.SetCustom("fan_cancelled", float64(ol.fanOut[fsubCancel]))
+			res.SetCustom("fan_timeout", float64(ol.fanOut[fsubTimeout]))
+			res.SetCustom("fan_shed", float64(ol.fanOut[fsubShed]))
 			res.SetCustom("fan_hedges", float64(ol.fanHedges))
 			res.SetCustom("fan_hedge_wins", float64(ol.fanHedgeWins))
 			if ol.fanStages > 0 {

@@ -14,9 +14,9 @@ import (
 )
 
 // TestOverloadConservation holds the pool to the attempt lifecycle
-// contract: every delivered attempt terminates in exactly one of
-// completed, timed out or shed, so the counters add up under every
-// policy and load factor.
+// contract: every delivered attempt — each base arrival plus each
+// client retry — terminates in exactly one of completed, timed out or
+// shed, so the counters add up under every policy and load factor.
 func TestOverloadConservation(t *testing.T) {
 	spec := machine.IntelXeon6130(2)
 	for _, pol := range OverloadPolicies {
@@ -27,6 +27,10 @@ func TestOverloadConservation(t *testing.T) {
 			sum := res.Custom["ovl_completed"] + res.Custom["ovl_timeout"] + res.Custom["ovl_shed"]
 			if offered == 0 || offered != sum {
 				t.Errorf("%s: offered %g != completed+timeout+shed %g", name, offered, sum)
+			}
+			base := float64(scaleCount(referenceOverload(f, pol).requests, 0.05, 50))
+			if settled := offered - res.Custom["ovl_retries"]; settled != base {
+				t.Errorf("%s: settled attempts minus retries %g, want the %g base arrivals", name, settled, base)
 			}
 			if res.Custom["truncated"] != 0 {
 				t.Errorf("%s: run truncated", name)
@@ -68,58 +72,24 @@ func TestCodelBeatsNoAdmission(t *testing.T) {
 // its attempts than "kv", which in turn sheds more than "web".
 func TestPriorityShedding(t *testing.T) {
 	m := cpu.New(cpu.Config{Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{}, Policy: cfs.Default(), Seed: 7})
-	prof := referenceOverload(2.0, "cap")
-	ol := installProfile(t, m, prof, 3000)
+	p := referenceOverload(2.0, "cap")
+	p.requests = 3000
+	ol := p.install(m, 1)
 	if res := m.Run(0); res.Custom["truncated"] != 0 {
 		t.Fatal("run truncated")
 	}
 	frac := make([]float64, len(ol.byClass))
 	for i, st := range ol.byClass {
-		if st.offered == 0 {
+		if st.offered() == 0 {
 			t.Fatalf("class %d saw no attempts", i)
 		}
-		frac[i] = float64(st.shed) / float64(st.offered)
+		frac[i] = float64(st.shed()) / float64(st.offered())
 	}
 	// Classes are ordered web, kv, script (priority 0, 1, 2).
 	if !(frac[2] > frac[1] && frac[1] > frac[0]) {
 		t.Errorf("shed fractions not graded by priority: web %.3f, kv %.3f, script %.3f",
 			frac[0], frac[1], frac[2])
 	}
-}
-
-// installProfile installs prof with an explicit base-arrival budget and
-// returns the live pool for white-box inspection.
-func installProfile(t *testing.T, m *cpu.Machine, prof overloadProfile, total int) *openLoop {
-	t.Helper()
-	src, err := prof.arrivalSpec().Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	adm, err := ParseAdmission(prof.admissionSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	classes := make([]reqClass, len(prof.classes))
-	for i, cl := range prof.classes {
-		classes[i] = reqClass{
-			name: cl.name, prio: cl.prio, share: cl.share,
-			svc: jitterCycles(m, cl.service, cl.cv),
-			slo: cl.slo,
-			acc: &sloAccum{class: cl.name, slo: cl.slo, quiet: true},
-		}
-	}
-	return installOpenLoopPool(m, openLoopCfg{
-		handlers:   prof.handlers,
-		total:      total,
-		queueDepth: prof.queueDepth,
-		src:        src,
-		adm:        adm,
-		timeout:    prof.timeout,
-		maxRetries: prof.retries,
-		backoff:    prof.backoff,
-		classes:    classes,
-		endToEnd:   true,
-	})
 }
 
 // TestOverloadReplayByteIdentical reruns the bursty retrying cell with
@@ -166,19 +136,20 @@ func TestOverloadSchedulersShareArrivals(t *testing.T) {
 	}
 }
 
-// TestQueueDepthShedsWhenFull bounds the queue: a tiny QueueDepth on a
+// TestQueueDepthShedsWhenFull bounds the queue: a tiny queue depth on a
 // saturating profile must shed at the full queue and record the high
 // watermark at the bound.
 func TestQueueDepthShedsWhenFull(t *testing.T) {
 	m := cpu.New(cpu.Config{Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{}, Policy: cfs.Default(), Seed: 7})
-	prof := referenceOverload(2.0, "none")
-	prof.queueDepth = 32
-	prof.retries = 0
-	ol := installProfile(t, m, prof, 2000)
+	p := referenceOverload(2.0, "none")
+	p.queueDepth = 32
+	p.retries = 0
+	p.requests = 2000
+	ol := p.install(m, 1)
 	if res := m.Run(0); res.Custom["truncated"] != 0 {
 		t.Fatal("run truncated")
 	}
-	if ol.shedFull == 0 {
+	if ol.out[outShedFull] == 0 {
 		t.Error("full queue never shed")
 	}
 	if hwm := ol.ch.HighWater; hwm != 32 {
@@ -197,6 +168,17 @@ func TestRegisterTraceWorkload(t *testing.T) {
 	}
 	if err := RegisterTraceWorkload(name, entries, "codel"); err == nil {
 		t.Error("duplicate registration accepted")
+	}
+	// A bad admission spec fails at registration and registers nothing,
+	// instead of panicking inside the first run.
+	for _, policy := range []string{"bogus", "cap:0", "token:rate=1/s", "codel:target=2ms"} {
+		bad := "trace/test-bad-" + policy
+		if err := RegisterTraceWorkload(bad, entries, policy); err == nil {
+			t.Errorf("admission %q accepted", policy)
+		}
+		if _, err := ByName(bad); err == nil {
+			t.Errorf("admission %q: %s registered despite the error", policy, bad)
+		}
 	}
 	res := runOn(t, name, machine.IntelXeon6130(2), 1)
 	if res.Custom["truncated"] != 0 {

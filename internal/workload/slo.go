@@ -3,7 +3,6 @@ package workload
 import (
 	"repro/internal/cpu"
 	"repro/internal/metrics"
-	"repro/internal/proc"
 	"repro/internal/sim"
 )
 
@@ -19,11 +18,6 @@ type sloAccum struct {
 	slo   sim.Duration
 	hist  metrics.LatHist
 	ok    int64
-	// quiet suppresses the run-level customs (req_*, slo_ok, slo_pct):
-	// multi-class pools set it on every per-class accumulator and
-	// publish merged aggregates themselves, so classes don't clobber
-	// each other's customs. The per-class counters always publish.
-	quiet bool
 }
 
 func (a *sloAccum) record(d sim.Duration) {
@@ -33,32 +27,42 @@ func (a *sloAccum) record(d sim.Duration) {
 	}
 }
 
-// finishOn installs the end-of-run hook: when the named root task exits,
-// the accumulated request percentiles and SLO attainment are published
-// as result customs and, when observability is on, as per-class
-// counters.
-func (a *sloAccum) finishOn(m *cpu.Machine, rootName string) {
-	m.OnExit(func(t *proc.Task) {
-		if t.Name != rootName || a.hist.Count() == 0 {
-			return
+// publishRequests publishes a finished run's request accounting: the
+// percentiles of all classes' merged latencies as result customs, SLO
+// attainment when any class has a target, and, when observability is
+// on, each class's "slo.<class>.ok/miss" counters. A run that recorded
+// no request publishes nothing.
+func publishRequests(m *cpu.Machine, accs []sloAccum) {
+	var merged metrics.LatHist
+	var ok int64
+	withSLO := false
+	for i := range accs {
+		a := &accs[i]
+		if a.hist.Count() == 0 {
+			continue
 		}
-		if !a.quiet {
-			res := m.Result()
-			tail := a.hist.Tail()
-			us := func(d sim.Duration) float64 { return float64(d) / float64(sim.Microsecond) }
-			res.SetCustom("req_total", float64(a.hist.Count()))
-			res.SetCustom("req_p50_us", us(tail.P50))
-			res.SetCustom("req_p95_us", us(tail.P95))
-			res.SetCustom("req_p99_us", us(tail.P99))
-			res.SetCustom("req_p999_us", us(tail.P999))
-			if a.slo > 0 {
-				res.SetCustom("slo_ok", float64(a.ok))
-				res.SetCustom("slo_pct", 100*float64(a.ok)/float64(a.hist.Count()))
-			}
-		}
+		merged.Merge(&a.hist)
+		ok += a.ok
+		withSLO = withSLO || a.slo > 0
 		if h := m.Obs(); h != nil {
 			h.Count("slo."+a.class+".ok", a.ok)
 			h.Count("slo."+a.class+".miss", a.hist.Count()-a.ok)
 		}
-	})
+	}
+	total := merged.Count()
+	if total == 0 {
+		return
+	}
+	res := m.Result()
+	tail := merged.Tail()
+	us := func(d sim.Duration) float64 { return float64(d) / float64(sim.Microsecond) }
+	res.SetCustom("req_total", float64(total))
+	res.SetCustom("req_p50_us", us(tail.P50))
+	res.SetCustom("req_p95_us", us(tail.P95))
+	res.SetCustom("req_p99_us", us(tail.P99))
+	res.SetCustom("req_p999_us", us(tail.P999))
+	if withSLO {
+		res.SetCustom("slo_ok", float64(ok))
+		res.SetCustom("slo_pct", 100*float64(ok)/float64(total))
+	}
 }

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"repro/internal/cpu"
-	"repro/internal/machine"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
@@ -27,7 +26,7 @@ type Workload struct {
 	// Name is the benchmark's identifier, e.g. "configure/llvm_ninja".
 	Name string
 	// Suite groups workloads ("configure", "dacapo", "nas", "phoronix",
-	// "micro", "server").
+	// "micro", "server", "overload", "fanout", "trace").
 	Suite string
 	// PaperSeconds is the CFS-schedutil runtime the paper reports (on
 	// the 64-core 5218 where available), used to sanity-check scale.
@@ -117,8 +116,3 @@ func spawnWorkers(m *cpu.Machine, name string, n int, worker func(i int) proc.Be
 	actions = append(actions, proc.WaitChildren{})
 	m.Spawn(name, proc.Script(actions...))
 }
-
-// MachineFits reports whether the workload's natural parallelism fits the
-// machine (used by the harness to skip configurations the paper did not
-// run).
-func MachineFits(w *Workload, spec *machine.Spec) bool { return true }
