@@ -12,7 +12,7 @@
 // paper's workload families (internal/workload).
 //
 // Every figure and table of the paper's evaluation can be regenerated
-// with cmd/experiments; the benchmarks in bench_test.go exercise one
-// experiment each. See DESIGN.md for the system inventory and
+// with cmd/experiments, and simbench/ (BENCHMARK.json) measures the
+// simulator's own speed. See DESIGN.md for the system inventory and
 // EXPERIMENTS.md for paper-vs-measured results.
 package repro

@@ -46,8 +46,8 @@ func benchPolicy(b *testing.B, mk func() sched.Policy, hub *obs.Hub) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/run")
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	// Wall nanoseconds spent per simulated second: the headline cost
-	// metric tracked in BENCH_nest.json (lower is better; independent of
-	// how long each benchmark iteration happens to simulate).
+	// metric (lower is better; independent of how long each benchmark
+	// iteration happens to simulate).
 	if simNS > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(simNS/float64(sim.Second)), "ns/sim_s")
 	}

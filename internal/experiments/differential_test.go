@@ -15,6 +15,12 @@ import (
 // barrier kernels, DaCapo), both main schedulers plus the ablation
 // variants and smove, a deterministic fault plan, and an overload cell
 // with retries — the posting patterns that exercise every wheel level.
+// The cells after the overload cell complete the machine × workload ×
+// scheduler families of the paper's artefacts that no other test runs:
+// CFS's h2 on the 4-socket 6130 (Figs 8–11), the §5.4 noattach
+// ablation on MG, a Phoronix background test under Nest (Table 4),
+// the §5.6 micro-benchmarks under Nest, the multi-application mix and
+// the mono-socket 4650G.
 func differentialSpecs() []RunSpec {
 	return []RunSpec{
 		{Machine: "5218", Scheduler: "nest", Governor: "schedutil", Workload: "configure/llvm_ninja", Scale: 0.01, Seed: 1},
@@ -24,6 +30,15 @@ func differentialSpecs() []RunSpec {
 		{Machine: "5218", Scheduler: "nest:noreserve", Governor: "schedutil", Workload: "configure/mplayer", Scale: 0.01, Seed: 5},
 		{Machine: "5218", Scheduler: "nest", Governor: "schedutil", Workload: "configure/mplayer", Scale: 0.01, Seed: 4, Faults: "off:c2@5ms+10ms,throttle:s0@4ms+15ms=1.8GHz,jitter:@3ms+20ms=1ms,spike:@6ms=12x1ms"},
 		{Machine: "6130-2", Scheduler: "cfs", Governor: "schedutil", Workload: workload.OverloadMixName(1.5, "codel"), Scale: 0.25, Seed: 7},
+		{Machine: "6130-4", Scheduler: "cfs", Governor: "schedutil", Workload: "dacapo/h2", Scale: 0.01, Seed: 1},
+		{Machine: "5218", Scheduler: "nest:noattach", Governor: "schedutil", Workload: "nas/mg.C", Scale: 0.01, Seed: 1},
+		{Machine: "6130-2", Scheduler: "nest", Governor: "schedutil", Workload: "phoronix/bg-003", Scale: 0.01, Seed: 1},
+		{Machine: "5218", Scheduler: "nest", Governor: "schedutil", Workload: "micro/hackbench", Scale: 0.002, Seed: 1},
+		{Machine: "5218", Scheduler: "cfs", Governor: "schedutil", Workload: "micro/schbench-m8-w16", Scale: 0.01, Seed: 1},
+		{Machine: "5218", Scheduler: "nest", Governor: "schedutil", Workload: "micro/schbench-m8-w16", Scale: 0.01, Seed: 1},
+		{Machine: "6130-2", Scheduler: "nest", Governor: "schedutil", Workload: "multi/zstd+libgav1", Scale: 0.01, Seed: 1},
+		{Machine: "4650g", Scheduler: "cfs", Governor: "schedutil", Workload: "configure/llvm_ninja", Scale: 0.01, Seed: 1},
+		{Machine: "4650g", Scheduler: "nest", Governor: "schedutil", Workload: "configure/llvm_ninja", Scale: 0.01, Seed: 1},
 	}
 }
 

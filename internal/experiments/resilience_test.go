@@ -99,6 +99,10 @@ func TestRunSpecValidate(t *testing.T) {
 		if err := rs.Validate(); err == nil {
 			t.Errorf("%s: bad spec validated", name)
 		}
+		// Run must refuse what Validate refuses, not run a default.
+		if _, err := Run(rs); err == nil {
+			t.Errorf("%s: bad spec ran", name)
+		}
 	}
 }
 

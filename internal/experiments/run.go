@@ -118,6 +118,14 @@ var nestOff = map[string]string{
 	"rimpatient": "noimpatience",
 }
 
+// NestOff returns the nest:<toggle> flag that disables the feature a
+// nest:<param>=<n> override tunes, and whether param is such an
+// override.
+func NestOff(param string) (toggle string, ok bool) {
+	toggle, ok = nestOff[param]
+	return toggle, ok
+}
+
 func splitComma(s string) []string {
 	var out []string
 	start := 0
@@ -219,7 +227,10 @@ func RunOnSpec(spec *machine.Spec, rs RunSpec) (*metrics.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rs.Scale <= 0 {
+	if err := checkScale(rs.Scale); err != nil {
+		return nil, err
+	}
+	if rs.Scale == 0 {
 		rs.Scale = DefaultScale
 	}
 	plan, err := fault.Parse(rs.Faults)
@@ -308,14 +319,22 @@ func (rs RunSpec) Validate() error {
 	if _, err := workload.ByName(rs.Workload); err != nil {
 		return err
 	}
-	if rs.Scale < 0 {
-		return fmt.Errorf("experiments: scale must not be negative, got %g (0 selects the default)", rs.Scale)
+	if err := checkScale(rs.Scale); err != nil {
+		return err
 	}
 	plan, err := fault.Parse(rs.Faults)
 	if err != nil {
 		return err
 	}
 	return plan.Validate(spec)
+}
+
+// checkScale rejects a negative Scale; 0 selects DefaultScale.
+func checkScale(scale float64) error {
+	if scale < 0 {
+		return fmt.Errorf("experiments: scale must not be negative, got %g (0 selects the default)", scale)
+	}
+	return nil
 }
 
 // DefaultScale shortens workloads to ~1/25 of paper length so the full
