@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // dec unmarshals a line into a value of the concrete event type, so
@@ -40,6 +41,16 @@ var decodable = map[string]func([]byte) (Event, error){
 	"nest_gauge":          dec[NestGauge],
 	"socket_gauge":        dec[SocketGauge],
 	"run_summary":         dec[RunSummary],
+}
+
+// WireKinds returns the JSONL wire kinds DecodeLine understands, sorted.
+func WireKinds() []string {
+	kinds := make([]string, 0, len(decodable))
+	for k := range decodable {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	return kinds
 }
 
 // DecodeLine parses one JSONL line written by JSONLRecorder (or

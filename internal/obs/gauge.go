@@ -30,6 +30,14 @@ func (CoreGauge) Kind() string { return "core_gauge" }
 
 func (CoreGauge) count(c *Counters) { c.Add("gauge.core", 1) }
 
+func (e CoreGauge) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.int("core", e.Core)
+	w.str("state", e.State)
+	w.int("freq_mhz", e.FreqMHz)
+	w.int("queue", e.Queue)
+}
+
 // NestGauge is the nest's primary and reserve size at a sample instant.
 // Emitted only when the active scheduler maintains a nest.
 type NestGauge struct {
@@ -42,6 +50,12 @@ type NestGauge struct {
 func (NestGauge) Kind() string { return "nest_gauge" }
 
 func (NestGauge) count(c *Counters) { c.Add("gauge.nest", 1) }
+
+func (e NestGauge) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.int("primary", e.Primary)
+	w.int("reserve", e.Reserve)
+}
 
 // SocketGauge is one socket's occupancy at a sample instant: how many of
 // its online cores are busy. The busy share is Busy/Online.
@@ -56,6 +70,13 @@ type SocketGauge struct {
 func (SocketGauge) Kind() string { return "socket_gauge" }
 
 func (SocketGauge) count(c *Counters) { c.Add("gauge.socket", 1) }
+
+func (e SocketGauge) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.int("socket", e.Socket)
+	w.int("busy", e.Busy)
+	w.int("online", e.Online)
+}
 
 // RunSummary closes one run's event stream with its headline results, so
 // offline tooling (cmd/nestobs diff) can compare runs without the full
@@ -80,3 +101,18 @@ type RunSummary struct {
 func (RunSummary) Kind() string { return "run_summary" }
 
 func (RunSummary) count(c *Counters) { c.Add("summaries", 1) }
+
+func (e RunSummary) appendJSON(w *wire) {
+	w.str("machine", e.Machine)
+	w.str("sched", e.Scheduler)
+	w.str("gov", e.Governor)
+	w.str("workload", e.Workload)
+	w.u64("seed", e.Seed)
+	w.i64("runtime_ns", e.RuntimeNS)
+	w.float("energy_j", e.EnergyJ)
+	w.i64("wake_p50_ns", e.WakeP50)
+	w.i64("wake_p95_ns", e.WakeP95)
+	w.i64("wake_p99_ns", e.WakeP99)
+	w.i64("wake_p999_ns", e.WakeP999)
+	w.i64("wakeups", e.Wakeups)
+}

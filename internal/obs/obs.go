@@ -36,6 +36,9 @@ type Event interface {
 	Kind() string
 	// count applies the event's counter increments to a registry.
 	count(c *Counters)
+	// appendJSON appends the event's fields to a JSONL line in struct
+	// order, as encoding/json would marshal them.
+	appendJSON(w *wire)
 }
 
 // Recorder receives every emitted event. Implementations in this package:
@@ -147,7 +150,10 @@ func (m multi) Record(ev Event) {
 //
 // Field names use JSON tags matching docs/OBSERVABILITY.md; timestamps
 // are virtual nanoseconds. Cores and tasks are plain ints so the wire
-// format stays self-describing.
+// format stays self-describing. The tags drive decoding; each type's
+// appendJSON writes the same fields for JSONLRecorder, and a field
+// added to a struct needs a line there too (FuzzEventWire fails
+// otherwise).
 
 // RunInfo labels the start of one run's event stream; multi-run dumps
 // (cmd/experiments -events) use it to delimit runs.
@@ -164,6 +170,15 @@ type RunInfo struct {
 func (RunInfo) Kind() string { return "run" }
 
 func (RunInfo) count(c *Counters) { c.Add("runs", 1) }
+
+func (e RunInfo) appendJSON(w *wire) {
+	w.str("machine", e.Machine)
+	w.str("sched", e.Scheduler)
+	w.str("gov", e.Governor)
+	w.str("workload", e.Workload)
+	w.float("scale", e.Scale)
+	w.u64("seed", e.Seed)
+}
 
 // PlacementDecision is one core-selection outcome: which policy, which
 // heuristic path fired, what it cost. The counter "<sched>.<path>"
@@ -187,6 +202,24 @@ func (PlacementDecision) Kind() string { return "placement" }
 
 func (e PlacementDecision) count(c *Counters) { c.Add(e.Sched+"."+e.Path, 1) }
 
+func (e PlacementDecision) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.str("sched", e.Sched)
+	w.int("task", e.Task)
+	if e.TaskName != "" {
+		w.str("task_name", e.TaskName)
+	}
+	w.int("chosen_core", e.Core)
+	w.str("path", e.Path)
+	w.int("scanned", e.Scanned)
+	if e.Reason != "" {
+		w.str("reason", e.Reason)
+	}
+	if e.Fork {
+		w.bool("fork", e.Fork)
+	}
+}
+
 // Migration is a task starting (or being moved) on a core different from
 // its previous one. Reasons: "schedule_in", "smove_timer".
 type Migration struct {
@@ -203,6 +236,19 @@ func (Migration) Kind() string { return "migration" }
 
 func (Migration) count(c *Counters) { c.Add("cpu.migration", 1) }
 
+func (e Migration) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.int("task", e.Task)
+	if e.TaskName != "" {
+		w.str("task_name", e.TaskName)
+	}
+	w.int("from_core", e.From)
+	w.int("to_core", e.To)
+	if e.Reason != "" {
+		w.str("reason", e.Reason)
+	}
+}
+
 // NestExpand is the primary nest growing by one core (§3.1 promotion,
 // impatience expansion, or the no-reserve ablation's direct adds).
 type NestExpand struct {
@@ -217,6 +263,16 @@ type NestExpand struct {
 func (NestExpand) Kind() string { return "nest_expand" }
 
 func (NestExpand) count(c *Counters) { c.Add("nest.expand", 1) }
+
+func (e NestExpand) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.int("core", e.Core)
+	w.int("primary", e.Primary)
+	w.int("reserve", e.Reserve)
+	if e.Reason != "" {
+		w.str("reason", e.Reason)
+	}
+}
 
 // NestCompact is a primary core demoted (§3.1): To says where it went
 // ("reserve" or "evicted"); Reason says why ("idle_timeout", "exit").
@@ -234,6 +290,17 @@ func (NestCompact) Kind() string { return "nest_compact" }
 
 func (NestCompact) count(c *Counters) { c.Add("nest.compact", 1) }
 
+func (e NestCompact) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.int("core", e.Core)
+	w.int("primary", e.Primary)
+	w.int("reserve", e.Reserve)
+	w.str("to", e.To)
+	if e.Reason != "" {
+		w.str("reason", e.Reason)
+	}
+}
+
 // ImpatienceTrip is a task crossing the R_impatient threshold (§3.1):
 // its next placement may expand the primary nest.
 type ImpatienceTrip struct {
@@ -247,6 +314,15 @@ type ImpatienceTrip struct {
 func (ImpatienceTrip) Kind() string { return "impatience" }
 
 func (ImpatienceTrip) count(c *Counters) { c.Add("nest.impatience", 1) }
+
+func (e ImpatienceTrip) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.int("task", e.Task)
+	if e.TaskName != "" {
+		w.str("task_name", e.TaskName)
+	}
+	w.int("count", e.Count)
+}
 
 // FreqGrant is the hardware steering a busy core toward a frequency:
 // the turbo-budget-limited target the frequency model computed. Reasons:
@@ -265,6 +341,17 @@ func (FreqGrant) Kind() string { return "freq_grant" }
 
 func (FreqGrant) count(c *Counters) { c.Add("freq.grant", 1) }
 
+func (e FreqGrant) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.int("core", e.Core)
+	w.int("grant_mhz", e.GrantMHz)
+	w.int("limit_mhz", e.LimitMHz)
+	w.int("active_phys", e.ActivePhys)
+	if e.Reason != "" {
+		w.str("reason", e.Reason)
+	}
+}
+
 // GovernorRequest is one governor request for an active core at a tick:
 // the OS-side half of frequency selection (§2.3).
 type GovernorRequest struct {
@@ -281,6 +368,18 @@ type GovernorRequest struct {
 func (GovernorRequest) Kind() string { return "governor_request" }
 
 func (GovernorRequest) count(c *Counters) { c.Add("gov.request", 1) }
+
+func (e GovernorRequest) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.int("core", e.Core)
+	w.str("governor", e.Governor)
+	w.float("util", e.Util)
+	w.int("suggest_mhz", e.SuggestMHz)
+	w.int("floor_mhz", e.FloorMHz)
+	if e.EnergyAware {
+		w.bool("energy_aware", e.EnergyAware)
+	}
+}
 
 // Fault is an injected fault-plan action taking effect (see
 // internal/fault and docs/ROBUSTNESS.md). Actions: "offline", "online",
@@ -303,6 +402,19 @@ func (Fault) Kind() string { return "fault" }
 
 func (e Fault) count(c *Counters) { c.Add("fault."+e.Action, 1) }
 
+func (e Fault) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.str("action", e.Action)
+	w.int("core", e.Core)
+	w.int("socket", e.Socket)
+	if e.CapMHz != 0 {
+		w.int("cap_mhz", e.CapMHz)
+	}
+	if e.Tasks != 0 {
+		w.int("tasks", e.Tasks)
+	}
+}
+
 // InvariantViolation is a structural invariant failing after a
 // scheduling event (see internal/invariant). A healthy run — faults or
 // not — records zero of these; any occurrence is a bug in a policy or
@@ -319,6 +431,12 @@ func (InvariantViolation) Kind() string { return "invariant_violation" }
 func (e InvariantViolation) count(c *Counters) {
 	c.Add("invariant.violation", 1)
 	c.Add("invariant."+e.Rule, 1)
+}
+
+func (e InvariantViolation) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.str("rule", e.Rule)
+	w.str("detail", e.Detail)
 }
 
 // Overload is one overload-control action at an open-loop server's
@@ -361,6 +479,21 @@ func (e Overload) count(c *Counters) {
 		c.Add("ovl.completed."+e.Class, 1)
 	default:
 		c.Add("ovl."+e.Action, 1)
+	}
+}
+
+func (e Overload) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.str("action", e.Action)
+	w.str("class", e.Class)
+	if e.Policy != "" {
+		w.str("policy", e.Policy)
+	}
+	if e.Attempt != 0 {
+		w.int("attempt", e.Attempt)
+	}
+	if e.Sojourn != 0 {
+		w.i64("sojourn_ns", int64(e.Sojourn))
 	}
 }
 
@@ -410,6 +543,31 @@ func (e Fanout) count(c *Counters) {
 	}
 }
 
+func (e Fanout) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.str("action", e.Action)
+	w.str("class", e.Class)
+	w.int("stage", e.Stage)
+	if e.Slot != 0 {
+		w.int("slot", e.Slot)
+	}
+	if e.Attempt != 0 {
+		w.int("attempt", e.Attempt)
+	}
+	if e.Cause != "" {
+		w.str("cause", e.Cause)
+	}
+	if e.Width != 0 {
+		w.int("width", e.Width)
+	}
+	if e.Lat != 0 {
+		w.i64("lat_ns", int64(e.Lat))
+	}
+	if e.Straggle != 0 {
+		w.i64("straggle_ns", int64(e.Straggle))
+	}
+}
+
 // TickBalance is a load-balance pull: Kind2 is "newidle" (idle-entry
 // pull) or "periodic" (tick-driven balance pass).
 type TickBalance struct {
@@ -425,3 +583,14 @@ type TickBalance struct {
 func (TickBalance) Kind() string { return "tick_balance" }
 
 func (e TickBalance) count(c *Counters) { c.Add("cpu.balance."+e.Kind2, 1) }
+
+func (e TickBalance) appendJSON(w *wire) {
+	w.i64("t_ns", int64(e.T))
+	w.int("from_core", e.From)
+	w.int("to_core", e.To)
+	w.int("task", e.Task)
+	if e.TaskName != "" {
+		w.str("task_name", e.TaskName)
+	}
+	w.str("kind", e.Kind2)
+}

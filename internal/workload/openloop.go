@@ -237,14 +237,15 @@ func (c *tally) shed() int64 {
 // do not perturb base arrivals. Handlers draw service times from the
 // machine RNG as all workloads do.
 type openLoop struct {
-	p     pool // the preset this run was installed from
-	total int  // base arrivals to generate (traces may end earlier)
-	src   ArrivalSource
-	adm   admission
-	svc   []func(*sim.Rand) int64 // per-class service-cycle draw
-	acc   []sloAccum              // per-class latency and SLO accounting
-	m     *cpu.Machine
-	ch    *proc.Chan
+	p       pool // the preset this run was installed from
+	total   int  // base arrivals to generate (traces may end earlier)
+	src     ArrivalSource
+	adm     admission
+	admName string                  // adm.name(), formatted once for overload events
+	svc     []func(*sim.Rand) int64 // per-class service-cycle draw
+	acc     []sloAccum              // per-class latency and SLO accounting
+	m       *cpu.Machine
+	ch      *proc.Chan
 	// queue holds admitted requests in arrival order; entries pair 1:1
 	// with messages in ch (nil entries are shutdown sentinels).
 	queue  []*request
@@ -303,6 +304,7 @@ func (p pool) install(m *cpu.Machine, scale float64) *openLoop {
 		total:   total,
 		src:     src,
 		adm:     adm,
+		admName: adm.name(),
 		svc:     make([]func(*sim.Rand) int64, len(p.classes)),
 		acc:     make([]sloAccum, len(p.classes)),
 		m:       m,
@@ -513,7 +515,7 @@ func (ol *openLoop) settle(rq *request, outcome int, sojourn sim.Duration) {
 		// latency for completed, the queue delay otherwise.
 		h.Emit(obs.Overload{
 			T: ol.m.Engine().Now(), Action: outName[outcome], Class: name,
-			Policy: ol.adm.name(), Attempt: rq.attempt, Sojourn: sojourn,
+			Policy: ol.admName, Attempt: rq.attempt, Sojourn: sojourn,
 		})
 	}
 	if outcome != outCompleted && ol.p.retries > 0 && rq.attempt < ol.p.retries {
@@ -525,7 +527,7 @@ func (ol *openLoop) settle(rq *request, outcome int, sojourn sim.Duration) {
 		if h := ol.m.Obs(); h.Enabled() {
 			h.Emit(obs.Overload{
 				T: ol.m.Engine().Now(), Action: "retry", Class: name,
-				Policy: ol.adm.name(), Attempt: rq.attempt + 1,
+				Policy: ol.admName, Attempt: rq.attempt + 1,
 			})
 		}
 		class, attempt := rq.class, rq.attempt
